@@ -164,16 +164,18 @@ int main(int argc, char** argv) {
     tensor::Tensor x2(tensor::Shape{8, 32, 8, 8}), w2(tensor::Shape{32, 32, 3, 3});
     fill(x1, true); fill(w1, false); fill(x2, true); fill(w2, false);
     tensor::Tensor no_bias;
-    core::OdqLayerStats s1, s2;
     (void)core::odq_conv_float(x1, w1, no_bias, 1, 1, sweep_cfg);  // warm-up
+    // odq_conv_float overwrites its stats argument, so every call's stats
+    // are merged: the phase cells then cover the same 20 convs as secs.
+    core::OdqLayerStats total, call;
     util::WallTimer sweep_t;
     for (int i = 0; i < 10; ++i) {
-      (void)core::odq_conv_float(x1, w1, no_bias, 1, 1, sweep_cfg, &s1);
-      (void)core::odq_conv_float(x2, w2, no_bias, 1, 1, sweep_cfg, &s2);
+      (void)core::odq_conv_float(x1, w1, no_bias, 1, 1, sweep_cfg, &call);
+      total.merge(call);
+      (void)core::odq_conv_float(x2, w2, no_bias, 1, 1, sweep_cfg, &call);
+      total.merge(call);
     }
     const double secs = sweep_t.seconds();
-    core::OdqLayerStats total = s1;
-    total.merge(s2);
     std::printf("%-10.2f %-14.4f %-10.3f\n", thr, total.sensitive_fraction(),
                 secs);
     char thr_label[32];
@@ -188,6 +190,17 @@ int main(int argc, char** argv) {
                      {"gemm_seconds", total.gemm_seconds},
                      {"sparse_epilogue_seconds",
                       total.sparse_epilogue_seconds}});
+    // The phases are timed inside the timed convs, so their sum can never
+    // exceed the wall time unless the two cover different calls.
+    const double phases =
+        total.pack_seconds + total.gemm_seconds + total.sparse_epilogue_seconds;
+    if (phases > secs) {
+      std::fprintf(stderr,
+                   "host_threshold_sweep %s: phases sum to %.6f s, more than "
+                   "the %.6f s they are part of\n",
+                   thr_label, phases, secs);
+      return 1;
+    }
   }
   return 0;
 }

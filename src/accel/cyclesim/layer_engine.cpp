@@ -7,7 +7,7 @@
 #include "accel/cyclesim/dram_channel.hpp"
 #include "accel/cyclesim/line_buffer.hpp"
 #include "accel/cyclesim/pe_array.hpp"
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace odq::accel::cyclesim {
@@ -43,15 +43,21 @@ namespace {
 // Per-layer PE-array busy/idle and memory-stall counters, so cycle-sim runs
 // show up in metrics snapshots without the caller aggregating by hand.
 void record_layer_metrics(const CycleSimResult& r) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& layers = obs::counter("cyclesim.layers");
-  static obs::Counter& cycles = obs::counter("cyclesim.cycles");
-  static obs::Counter& pred_busy = obs::counter("cyclesim.predictor_busy");
-  static obs::Counter& pred_idle = obs::counter("cyclesim.predictor_idle");
-  static obs::Counter& exec_busy = obs::counter("cyclesim.executor_busy");
-  static obs::Counter& exec_idle = obs::counter("cyclesim.executor_idle");
-  static obs::Counter& underruns = obs::counter("cyclesim.lb_underruns");
-  static obs::Counter& dram = obs::counter("cyclesim.dram_bytes");
+  if (!obs::telemetry_enabled()) return;
+  using obs::telemetry_counter;
+  static obs::WindowedCounter& layers = telemetry_counter("cyclesim.layers");
+  static obs::WindowedCounter& cycles = telemetry_counter("cyclesim.cycles");
+  static obs::WindowedCounter& pred_busy =
+      telemetry_counter("cyclesim.predictor_busy");
+  static obs::WindowedCounter& pred_idle =
+      telemetry_counter("cyclesim.predictor_idle");
+  static obs::WindowedCounter& exec_busy =
+      telemetry_counter("cyclesim.executor_busy");
+  static obs::WindowedCounter& exec_idle =
+      telemetry_counter("cyclesim.executor_idle");
+  static obs::WindowedCounter& underruns =
+      telemetry_counter("cyclesim.lb_underruns");
+  static obs::WindowedCounter& dram = telemetry_counter("cyclesim.dram_bytes");
   layers.increment();
   cycles.add(r.cycles);
   pred_busy.add(r.predictor_busy);

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace odq::accel {
@@ -234,17 +234,17 @@ SimResult simulate(const AcceleratorConfig& cfg,
   }
   res.idle_pe_fraction =
       res.total_cycles > 0.0 ? idle_weighted / res.total_cycles : 0.0;
-  if (obs::metrics_enabled()) {
-    static obs::Counter& runs = obs::counter("sim.runs");
-    static obs::Counter& layers = obs::counter("sim.layers");
-    static obs::Counter& cycles = obs::counter("sim.cycles");
-    static obs::Distribution& idle =
-        obs::distribution("sim.layer_idle_fraction", 0.0, 1.0, 50);
+  if (obs::telemetry_enabled()) {
+    static obs::WindowedCounter& runs = obs::telemetry_counter("sim.runs");
+    static obs::WindowedCounter& layers = obs::telemetry_counter("sim.layers");
+    static obs::WindowedCounter& cycles = obs::telemetry_counter("sim.cycles");
+    static obs::WindowedSeries& idle_bp =
+        obs::telemetry_series("sim.layer_idle_fraction");
     runs.increment();
     layers.add(static_cast<std::int64_t>(res.layers.size()));
     cycles.add(static_cast<std::int64_t>(res.total_cycles));
     for (const LayerSimResult& lr : res.layers) {
-      idle.record(lr.idle_pe_fraction);
+      idle_bp.record(obs::fraction_bp(lr.idle_pe_fraction));
     }
   }
   return res;

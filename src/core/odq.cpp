@@ -9,7 +9,7 @@
 #include "gemm/sparse_epilogue.hpp"
 #include "nn/epilogue.hpp"
 #include "obs/fidelity.hpp"
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "quant/static_executor.hpp"
 #include "tensor/ops.hpp"
@@ -45,20 +45,24 @@ QTensor quantize_weight(const Tensor& weight, const OdqConfig& cfg) {
 // Per-conv pipeline counters (see docs/observability.md). Recorded once per
 // odq_conv call — a handful of relaxed ops, never inside the MAC loops.
 void record_conv_metrics(const OdqLayerStats& s) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& calls = obs::counter("odq.conv.calls");
-  static obs::Counter& outputs = obs::counter("odq.conv.outputs");
-  static obs::Counter& sensitive = obs::counter("odq.conv.sensitive");
-  static obs::Counter& pred_macs = obs::counter("odq.conv.predictor_macs");
-  static obs::Counter& exec_macs = obs::counter("odq.conv.executor_macs");
-  static obs::Distribution& frac =
-      obs::distribution("odq.conv.sensitive_fraction", 0.0, 1.0, 50);
+  if (!obs::telemetry_enabled()) return;
+  static obs::WindowedCounter& calls = obs::telemetry_counter("odq.conv.calls");
+  static obs::WindowedCounter& outputs =
+      obs::telemetry_counter("odq.conv.outputs");
+  static obs::WindowedCounter& sensitive =
+      obs::telemetry_counter("odq.conv.sensitive");
+  static obs::WindowedCounter& pred_macs =
+      obs::telemetry_counter("odq.conv.predictor_macs");
+  static obs::WindowedCounter& exec_macs =
+      obs::telemetry_counter("odq.conv.executor_macs");
+  static obs::WindowedSeries& frac_bp =
+      obs::telemetry_series("odq.conv.sensitive_fraction");
   calls.increment();
   outputs.add(s.outputs);
   sensitive.add(s.sensitive);
   pred_macs.add(s.predictor_macs);
   exec_macs.add(s.executor_macs);
-  frac.record(s.sensitive_fraction());
+  frac_bp.record(obs::fraction_bp(s.sensitive_fraction()));
 }
 
 // Dequantize integer accumulators and add the per-channel bias through the
@@ -384,7 +388,8 @@ Tensor OdqConvExecutor::run_fallback(const Tensor& input, const Tensor& weight,
                                      const char* reason) {
   obs::TraceSpan span("odq.fallback");
   span.arg("conv_id", conv_id);
-  static obs::Counter& fallbacks = obs::counter("odq.fallback");
+  static obs::WindowedCounter& fallbacks =
+      obs::telemetry_counter("odq.fallback");
   fallbacks.increment();
   bool log_now = false;
   {

@@ -6,7 +6,7 @@
 
 #include "gemm/gemm.hpp"
 #include "obs/fidelity.hpp"
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
@@ -161,12 +161,13 @@ Tensor DrqConvExecutor::run(const Tensor& input, const Tensor& weight,
     if (stats_.size() <= id) stats_.resize(id + 1);
     stats_[id].accumulate(sens);
   }
-  if (obs::metrics_enabled()) {
-    static obs::Counter& calls = obs::counter("drq.conv.calls");
-    static obs::Distribution& frac =
-        obs::distribution("drq.conv.sensitive_input_fraction", 0.0, 1.0, 50);
+  if (obs::telemetry_enabled()) {
+    static obs::WindowedCounter& calls =
+        obs::telemetry_counter("drq.conv.calls");
+    static obs::WindowedSeries& frac_bp =
+        obs::telemetry_series("drq.conv.sensitive_input_fraction");
     calls.increment();
-    frac.record(sens);
+    frac_bp.record(obs::fraction_bp(sens));
   }
   Tensor out = drq_conv(input, weight, bias, stride, pad, cfg, &mask);
   if (obs::fidelity_enabled()) {

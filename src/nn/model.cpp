@@ -82,9 +82,9 @@ using util::StatusCode;
 
 // Checkpoint formats.
 //
-// v2 (legacy): magic "NQDO", u64 param count, params, u64 buffer count,
-// buffers (BatchNorm running statistics). Each tensor: u64 numel + float
-// payload. No shape records, no checksum, in-place writes.
+// v2 (legacy, read-only): magic "NQDO", u64 param count, params, u64
+// buffer count, buffers (BatchNorm running statistics). Each tensor: u64
+// numel + float payload. No shape records, no checksum.
 //
 // v3: magic "DOQ3", then a header — u32 version, u64 param count, u64
 // buffer count, one record per tensor (params then buffers: u8 dtype,
@@ -154,7 +154,7 @@ std::size_t tensor_bytes(const tensor::Tensor& t) {
   return static_cast<std::size_t>(t.numel()) * sizeof(float);
 }
 
-// Tensor payload write shared by v2/v3, with the bit-flip injection site:
+// Tensor payload write, with the bit-flip injection site:
 // when armed, the nth payload write lands on disk with one bit flipped
 // *after* the CRC was computed — the way real media corruption looks to a
 // reader. The save itself still reports success.
@@ -256,45 +256,6 @@ util::Status Model::try_save(const std::string& path) {
     std::remove(tmp.c_str());
     return {StatusCode::kIoError, "Model::save: cannot rename " + tmp +
                                       " to " + path};
-  }
-  return Status::Ok();
-}
-
-util::Status Model::save_v2(const std::string& path) {
-  auto ps = params();
-  auto bs = buffers();
-  if (util::fault_fire("ckpt.open_w")) {
-    return {StatusCode::kIoError, "injected open failure for " + path};
-  }
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return {StatusCode::kIoError, "Model::save: cannot open " + path};
-  }
-  const auto pcount = static_cast<std::uint64_t>(ps.size());
-  const auto bcount = static_cast<std::uint64_t>(bs.size());
-  auto write_tensor_v2 = [&](const tensor::Tensor& t) {
-    const auto n = static_cast<std::uint64_t>(t.numel());
-    Status s = checked_write(f.get(), &n, sizeof(n), "tensor size", path);
-    if (!s.ok()) return s;
-    return write_payload(f.get(), t, path);
-  };
-  Status s = checked_write(f.get(), &kMagicV2, sizeof(kMagicV2), "magic",
-                           path);
-  if (!s.ok()) return s;
-  s = checked_write(f.get(), &pcount, sizeof(pcount), "param count", path);
-  if (!s.ok()) return s;
-  for (Param* p : ps) {
-    s = write_tensor_v2(p->value);
-    if (!s.ok()) return s;
-  }
-  s = checked_write(f.get(), &bcount, sizeof(bcount), "buffer count", path);
-  if (!s.ok()) return s;
-  for (tensor::Tensor* b : bs) {
-    s = write_tensor_v2(*b);
-    if (!s.ok()) return s;
-  }
-  if (std::fflush(f.get()) != 0) {
-    return {StatusCode::kIoError, "Model::save: cannot flush " + path};
   }
   return Status::Ok();
 }

@@ -70,12 +70,6 @@ class Model {
   void save(const std::string& path);
   void load(const std::string& path);
 
-  // Legacy v2 writer (magic + counts + raw tensor payloads, no shape
-  // records, no checksum), kept so v2 back-compat stays testable against
-  // freshly written bytes. Every fwrite is checked, but the commit is
-  // in-place — v2 readers/writers predate atomic saves.
-  util::Status save_v2(const std::string& path);
-
  private:
   std::string name_;
   std::vector<LayerPtr> layers_;

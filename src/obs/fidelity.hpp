@@ -1,7 +1,7 @@
 // Numerical-fidelity observability: per-layer error attribution for the
 // quantized executors.
 //
-// Time telemetry (obs/trace.hpp, obs/metrics.hpp) shows *where the cycles
+// Time telemetry (obs/trace.hpp, obs/telemetry.hpp) shows *where the cycles
 // went*; this layer shows *where the numerical error came from*. When
 // enabled, every instrumented conv call compares its scheme output against
 // the FP32 reference convolution and accumulates, per (scheme, layer):

@@ -119,8 +119,7 @@ void LogHistogram::add_in_bucket(std::size_t index, std::uint64_t n) {
 
 namespace {
 
-// Thread-local shard cache, same idiom as the metrics registry: one map for
-// every ShardedLogHistogram instance; entries die with the thread, the
+// Thread-local shard cache: one map for every ShardedLogHistogram instance; entries die with the thread, the
 // shards they point to are owned by the histogram and keep their counts.
 // Entries carry the owner's generation id: a histogram constructed at a
 // recycled address (short-lived instances in tests/tools) fails the check

@@ -17,13 +17,8 @@ using util::StatusOr;
 
 namespace {
 
-// Scale factors between the double-valued statistics and the integer
-// telemetry series (WindowedSeries records uint64).
-std::uint64_t fraction_bp(double f) {
-  return static_cast<std::uint64_t>(
-      std::llround(std::clamp(f, 0.0, 1.0) * 10000.0));
-}
-
+// Scale factor between SQNR in dB and the integer telemetry series
+// (WindowedSeries records uint64); fractions use obs::fraction_bp.
 std::uint64_t sqnr_cdb(double db) {
   return static_cast<std::uint64_t>(
       std::llround(std::clamp(db, 0.0, 300.0) * 100.0));

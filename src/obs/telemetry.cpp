@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -42,6 +43,11 @@ bool telemetry_enabled() {
 
 void set_telemetry_enabled(bool on) {
   g_telemetry_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+}
+
+std::uint64_t fraction_bp(double f) {
+  return static_cast<std::uint64_t>(
+      std::llround(std::clamp(f, 0.0, 1.0) * 10000.0));
 }
 
 std::string telemetry_env_path() {

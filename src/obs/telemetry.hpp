@@ -1,13 +1,17 @@
-// Live serving telemetry: rolling time-windowed series and counters, a
-// snapshot/exposition layer, and a background exporter.
+// The observability plane: every named counter and sample series in the
+// process, with rolling time windows, a snapshot/exposition layer, and a
+// background exporter.
 //
-// This subsystem answers "what are the last 1s/10s/60s of traffic doing"
-// while the process serves — in contrast to the metrics registry
-// (metrics.hpp), which accumulates since process start and is read once at
-// shutdown. The two share the recording idioms (one relaxed atomic load
-// when off, lock-free per-thread shards when on) but keep separate
-// registries: a windowed series costs a 64-slot histogram ring, so only
-// hot serving signals should pay for it.
+// One registry, one switch, one document. Counters (WindowedCounter) count
+// events and units of work; series (WindowedSeries) record integer samples
+// into the shared LogHistogram bucket layout (obs/histogram.hpp). Times
+// are recorded in microseconds (names end in "_us") and fractions in basis
+// points (fraction_bp, 0..10000). Both
+// kinds accumulate cumulatively since creation/reset; the 1s/10s/60s
+// windows are a view over that cumulative state (see "Time model").
+// Recording costs one relaxed atomic load when the plane is off, and
+// lock-free per-thread shards (series) or one relaxed atomic add
+// (counters) when on. docs/observability.md lists every registered name.
 //
 // Time model — no wall-clock reads in this library:
 //
@@ -59,6 +63,10 @@ namespace odq::obs {
 // Global telemetry switch. Initialized from ODQ_TELEMETRY on first query.
 bool telemetry_enabled();
 void set_telemetry_enabled(bool on);
+
+// A fraction in [0, 1] as integer basis points (clamped, rounded), the
+// encoding every fraction-valued series uses.
+std::uint64_t fraction_bp(double f);
 
 // When ODQ_TELEMETRY names a file (contains '/' or ends in ".json"),
 // returns that path; "" otherwise. Tools use it as the default snapshot

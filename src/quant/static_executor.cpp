@@ -2,7 +2,7 @@
 
 #include "gemm/gemm.hpp"
 #include "obs/fidelity.hpp"
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -16,10 +16,9 @@ tensor::Tensor StaticQuantConvExecutor::run(const tensor::Tensor& input,
                                             int conv_id) {
   obs::TraceSpan span("static_quant.conv");
   span.arg("conv_id", conv_id);
-  if (obs::metrics_enabled()) {
-    static obs::Counter& calls = obs::counter("static_quant.conv.calls");
-    calls.increment();
-  }
+  static obs::WindowedCounter& calls =
+      obs::telemetry_counter("static_quant.conv.calls");
+  calls.increment();
   // Both the fake-quantize passes and the packed float GEMM run tiled on
   // the global thread pool, so this baseline is benchmarked on the same
   // footing as the parallel ODQ and DRQ executors. gemm::conv2d_f32 is

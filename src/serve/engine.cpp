@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "serve/shadow.hpp"
@@ -21,24 +20,8 @@ using util::StatusOr;
 
 namespace {
 
-struct ServeMetrics {
-  obs::Gauge& in_flight = obs::gauge("serve.in_flight");
-  obs::Counter& requests = obs::counter("serve.requests");
-  obs::Counter& errors = obs::counter("serve.errors");
-  obs::Counter& batches = obs::counter("serve.batches");
-  obs::Distribution& batch_size =
-      obs::distribution("serve.batch_size", 0.0, 64.0, 64);
-  obs::Distribution& latency_us =
-      obs::distribution("serve.latency_us", 0.0, 1e6, 64);
-};
-
-ServeMetrics& serve_metrics() {
-  static ServeMetrics m;
-  return m;
-}
-
-// Windowed live telemetry (obs/telemetry.hpp); separate from ServeMetrics
-// so ODQ_METRICS and ODQ_TELEMETRY stay independently switchable.
+// The engine's handles on the observability plane (obs/telemetry.hpp),
+// resolved once.
 struct ServeTelemetry {
   obs::WindowedSeries& latency_us = obs::telemetry_series("serve.latency_us");
   obs::WindowedSeries& batch_size = obs::telemetry_series("serve.batch_size");
@@ -72,7 +55,6 @@ ServeEngine::ServeEngine(EngineConfig cfg, const SessionFactory& factory)
   if (cfg_.num_workers < 1) cfg_.num_workers = 1;
   if (cfg_.max_batch < 1) cfg_.max_batch = 1;
   if (cfg_.flush_timeout_us < 0) cfg_.flush_timeout_us = 0;
-  stats_.batch_size_hist.assign(cfg_.max_batch + 1, 0);
 
   sessions_.reserve(static_cast<std::size_t>(cfg_.num_workers));
   for (int i = 0; i < cfg_.num_workers; ++i) {
@@ -172,8 +154,6 @@ util::Status ServeEngine::submit_with_promise(
                            : queue_.try_push(std::move(req));
   if (!pushed.ok()) return reject(pushed);
 
-  serve_metrics().in_flight.add(1.0);
-  serve_metrics().requests.increment();
   serve_telemetry().requests.increment();
   serve_telemetry().in_flight.record(static_cast<std::uint64_t>(
       in_flight_.fetch_add(1, std::memory_order_relaxed) + 1));
@@ -197,8 +177,6 @@ void ServeEngine::worker_loop(int worker_id) {
     obs::TraceSpan batch_span("serve.batch");
     batch_span.arg("batch_size", static_cast<std::int64_t>(batch.size()));
     batch_span.arg("batch_id", static_cast<std::int64_t>(batch_id));
-    serve_metrics().batches.increment();
-    serve_metrics().batch_size.record(static_cast<double>(batch.size()));
     serve_telemetry().batches.increment();
     serve_telemetry().batch_size.record(batch.size());
     {
@@ -207,9 +185,6 @@ void ServeEngine::worker_loop(int worker_id) {
       if (batch.size() > 1) ++stats_.multi_request_batches;
       if (batch.size() > stats_.max_batch_observed) {
         stats_.max_batch_observed = batch.size();
-      }
-      if (batch.size() < stats_.batch_size_hist.size()) {
-        ++stats_.batch_size_hist[batch.size()];
       }
     }
 
@@ -269,9 +244,6 @@ void ServeEngine::worker_loop(int worker_id) {
         cfg_.shadow->offer(req.tag, req.input);
       }
 
-      serve_metrics().in_flight.add(-1.0);
-      serve_metrics().latency_us.record(res.latency_us());
-      if (!res.status.ok()) serve_metrics().errors.increment();
       serve_telemetry().in_flight.record(static_cast<std::uint64_t>(std::max(
           in_flight_.fetch_sub(1, std::memory_order_relaxed) - 1,
           std::int64_t{0})));

@@ -20,31 +20,22 @@
 // accepted, then exit. The destructor calls shutdown(), so no accepted
 // request is ever dropped with an unfulfilled promise.
 //
-// Observability (all off unless ODQ_METRICS / ODQ_TRACE are enabled):
-//   serve.queue_depth        gauge     queue occupancy after each push/pop
-//                                      (snapshot max carries the peak since
-//                                      the previous snapshot)
-//   serve.in_flight          gauge     accepted but unanswered requests
-//   serve.requests           counter   requests accepted
-//   serve.errors             counter   responses with !status.ok()
-//   serve.batches            counter   batches executed
-//   serve.batch_size         distribution  requests per batch
-//   serve.latency_us         distribution  enqueue -> response latency
-//   serve.batch / serve.request   trace spans (batch execution, per-request
-//                                 enqueue->complete latency)
-//
-// Live telemetry (off unless ODQ_TELEMETRY is enabled; see
+// Observability plane (off unless ODQ_TELEMETRY is enabled; see
 // obs/telemetry.hpp for window semantics and the exporter):
-//   serve.latency_us             windowed series, enqueue -> response µs
+//   serve.latency_us             series, enqueue -> response µs
 //   serve.latency_us.<scheme>    same, split per session scheme
-//   serve.batch_size             windowed series, requests per batch
-//   serve.queue_depth            windowed series, depth after push/pop
-//   serve.in_flight              windowed series, level after +-1
+//   serve.batch_size             series, requests per batch
+//   serve.queue_depth            series, depth after each push/pop (its
+//                                max is the depth peak)
+//   serve.in_flight              series, accepted-but-unanswered level
+//                                after each +-1
 //   serve.requests / serve.errors / serve.batches / serve.rejected /
 //   serve.slo_violations / serve.deadline_exceeded / serve.degraded
-//                                windowed counters
+//                                counters
 //   serve.rejected.<tenant>      per-tenant rejection attribution (only for
 //                                submits that named a tenant)
+// Trace spans (ODQ_TRACE): serve.batch (batch execution) and
+// serve.request (per-request enqueue -> complete latency).
 //
 // Per-request tracing: every request gets a trace id (its request id,
 // allocated at submit). The worker wraps each session run in a
@@ -96,7 +87,7 @@ struct EngineConfig {
   ShadowLane* shadow = nullptr;
 };
 
-// Aggregate counters, kept engine-side (independent of ODQ_METRICS) so
+// Aggregate counters, kept engine-side (independent of ODQ_TELEMETRY) so
 // tests and the load generator can assert on batching behavior exactly.
 struct EngineStats {
   std::uint64_t submitted = 0;  // accepted into the queue
@@ -114,9 +105,6 @@ struct EngineStats {
   // Per-tenant rejection attribution (mirrors the serve.rejected.<tenant>
   // telemetry counters); only tenants named in SubmitOptions appear.
   std::map<std::string, std::uint64_t> rejected_by_tenant;
-  // batch_size_hist[k] = batches that carried exactly k requests
-  // (index 0 unused). Sized max_batch + 1.
-  std::vector<std::uint64_t> batch_size_hist;
 };
 
 class ServeEngine {

@@ -1,5 +1,5 @@
 // Minimal streaming JSON writer shared by the observability subsystem
-// (Chrome-trace flush, metrics snapshots), the bench --json output and the
+// (Chrome-trace flush, telemetry snapshots), the bench --json output and the
 // odq_profile report. Handles comma placement and string escaping; the
 // caller is responsible for structural balance (asserted in debug builds).
 #pragma once

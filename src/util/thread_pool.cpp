@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace odq::util {
@@ -13,22 +13,23 @@ namespace {
 thread_local bool t_in_worker = false;
 
 // Observability handles, resolved once. Recording is a no-op (one relaxed
-// load inside the metric) while ODQ_METRICS is off.
-obs::Counter& tasks_counter() {
-  static obs::Counter& c = obs::counter("threadpool.tasks");
+// load inside the metric) while ODQ_TELEMETRY is off.
+obs::WindowedCounter& tasks_counter() {
+  static obs::WindowedCounter& c = obs::telemetry_counter("threadpool.tasks");
   return c;
 }
-obs::Counter& busy_us_counter() {
-  static obs::Counter& c = obs::counter("threadpool.worker_busy_us");
+obs::WindowedCounter& busy_us_counter() {
+  static obs::WindowedCounter& c =
+      obs::telemetry_counter("threadpool.worker_busy_us");
   return c;
 }
-obs::Distribution& queue_wait_dist() {
-  static obs::Distribution& d =
-      obs::distribution("threadpool.queue_wait_us", 0.0, 10000.0, 64);
-  return d;
+obs::WindowedSeries& queue_wait_series() {
+  static obs::WindowedSeries& s =
+      obs::telemetry_series("threadpool.queue_wait_us");
+  return s;
 }
 
-bool observing() { return obs::metrics_enabled() || obs::trace_enabled(); }
+bool observing() { return obs::telemetry_enabled() || obs::trace_enabled(); }
 
 }  // namespace
 
@@ -82,7 +83,8 @@ void ThreadPool::worker_loop() {
     if (observing()) {
       const double start_us = obs::trace_now_us();
       if (task.enqueue_us > 0.0) {
-        queue_wait_dist().record(start_us - task.enqueue_us);
+        queue_wait_series().record(static_cast<std::uint64_t>(
+            std::max(0.0, start_us - task.enqueue_us)));
       }
       task.fn();
       const double end_us = obs::trace_now_us();

@@ -9,7 +9,7 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "quant/static_executor.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -37,12 +37,12 @@ Tensor random_weights(Shape shape, std::uint64_t seed) {
 class OdqFallbackTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::set_metrics_enabled(true);
-    obs::metrics_reset();
+    obs::set_telemetry_enabled(true);
+    obs::telemetry_reset();
   }
   void TearDown() override {
-    obs::metrics_reset();
-    obs::set_metrics_enabled(false);
+    obs::telemetry_reset();
+    obs::set_telemetry_enabled(false);
   }
 
   Tensor weight_ = random_weights(Shape{3, 2, 3, 3}, 2);
@@ -54,7 +54,7 @@ TEST_F(OdqFallbackTest, NormalInputDoesNotFallBack) {
   const Tensor in = random_acts(Shape{1, 2, 8, 8}, 1);
   (void)exec.run(in, weight_, bias_, 1, 1, /*conv_id=*/0);
   EXPECT_EQ(exec.fallback_count(0), 0);
-  EXPECT_EQ(obs::counter("odq.fallback").total(), 0);
+  EXPECT_EQ(obs::telemetry_counter("odq.fallback").total(), 0);
   EXPECT_EQ(exec.layer_stats(0).calls, 1);
 }
 
@@ -102,20 +102,20 @@ TEST_F(OdqFallbackTest, FallbackCounterIncrementsExactlyOncePerRun) {
   Tensor zeros(Shape{1, 2, 8, 8});
 
   (void)exec.run(zeros, weight_, bias_, 1, 1, /*conv_id=*/0);
-  EXPECT_EQ(obs::counter("odq.fallback").total(), 1);
+  EXPECT_EQ(obs::telemetry_counter("odq.fallback").total(), 1);
   (void)exec.run(zeros, weight_, bias_, 1, 1, /*conv_id=*/0);
-  EXPECT_EQ(obs::counter("odq.fallback").total(), 2);
+  EXPECT_EQ(obs::telemetry_counter("odq.fallback").total(), 2);
   EXPECT_EQ(exec.fallback_count(0), 2);
 
   // A second degenerate layer counts independently.
   (void)exec.run(zeros, weight_, bias_, 1, 1, /*conv_id=*/1);
-  EXPECT_EQ(obs::counter("odq.fallback").total(), 3);
+  EXPECT_EQ(obs::telemetry_counter("odq.fallback").total(), 3);
   EXPECT_EQ(exec.fallback_count(0), 2);
   EXPECT_EQ(exec.fallback_count(1), 1);
 
   // A healthy layer in the same executor does not move the counter.
   (void)exec.run(random_acts(Shape{1, 2, 8, 8}, 7), weight_, bias_, 1, 1, 2);
-  EXPECT_EQ(obs::counter("odq.fallback").total(), 3);
+  EXPECT_EQ(obs::telemetry_counter("odq.fallback").total(), 3);
   EXPECT_EQ(exec.fallback_count(2), 0);
 }
 

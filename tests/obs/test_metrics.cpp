@@ -1,18 +1,25 @@
-// Metrics registry: sharded recording, deterministic snapshots, JSON form.
-#include "obs/metrics.hpp"
-
+// The library's pipeline metrics on the observability plane: the counters
+// and series that the ODQ executor, the thread pool and the accelerator
+// simulator record (docs/observability.md), checked through the call sites
+// themselves rather than through hand-made test names.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "json_checker.hpp"
+#include "accel/config.hpp"
+#include "accel/simulator.hpp"
+#include "core/odq.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "util/json.hpp"
+#include "util/json_read.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
-namespace odq {
+namespace odq::obs {
 namespace {
 
 // Match test_trace.cpp: a 4-worker global pool, sized before first use.
@@ -21,184 +28,243 @@ const int kForcePoolSize = [] {
   return 4;
 }();
 
+constexpr std::uint64_t kSec = 1000000;
+
 class MetricsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::set_metrics_enabled(true);
-    obs::metrics_reset();
+    set_telemetry_enabled(true);
+    telemetry_reset();
   }
   void TearDown() override {
-    obs::metrics_reset();
-    obs::set_metrics_enabled(false);
+    telemetry_reset();
+    set_telemetry_enabled(false);
   }
 };
 
-std::vector<obs::MetricValue> snapshot_of(const std::string& name) {
-  std::vector<obs::MetricValue> out;
-  for (const obs::MetricValue& m : obs::metrics_snapshot()) {
-    if (m.name == name) out.push_back(m);
+// One ODQ conv forward; returns the executor's own counts.
+core::OdqLayerStats odq_forward(std::uint64_t seed) {
+  util::Rng rng(seed);
+  tensor::Tensor x(tensor::Shape{2, 4, 8, 8}), w(tensor::Shape{8, 4, 3, 3});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform_f(0, 1);
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.3f);
+  core::OdqConfig cfg;
+  cfg.threshold = 0.5f;
+  core::OdqConvExecutor exec(cfg);
+  (void)exec.run(x, w, tensor::Tensor(), 1, 1, /*conv_id=*/0);
+  return exec.total_stats();
+}
+
+// One simulated inference of a single conv layer.
+void simulate_one_layer(double sensitive_fraction) {
+  accel::ConvWorkload wl;
+  wl.name = "conv0";
+  wl.out_channels = 8;
+  wl.out_elems = 8 * 8 * 8;
+  wl.macs_per_out = 4 * 9;
+  wl.total_macs = wl.out_elems * wl.macs_per_out;
+  wl.input_elems = 4 * 8 * 8;
+  wl.weight_elems = 8 * 4 * 9;
+  wl.odq_sensitive_fraction = sensitive_fraction;
+  wl.sensitive_per_channel.assign(8, 8 * 8 / 2);
+  (void)accel::simulate(accel::odq_accelerator(), {wl});
+}
+
+const TelemetryCounterSnapshot* find_counter(const TelemetrySnapshot& snap,
+                                             const std::string& name) {
+  for (const TelemetryCounterSnapshot& c : snap.counters) {
+    if (c.name == name) return &c;
   }
-  return out;
+  return nullptr;
+}
+
+const TelemetrySeriesSnapshot* find_series(const TelemetrySnapshot& snap,
+                                           const std::string& name) {
+  for (const TelemetrySeriesSnapshot& s : snap.series) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
 }
 
 TEST_F(MetricsTest, DisabledRecordsNothing) {
-  obs::Counter& c = obs::counter("t.disabled.counter");
-  obs::Distribution& d = obs::distribution("t.disabled.dist", 0.0, 1.0, 8);
-  obs::set_metrics_enabled(false);
-  c.add(5);
-  d.record(0.5);
-  obs::set_metrics_enabled(true);
-  EXPECT_EQ(c.total(), 0);
-  EXPECT_EQ(d.stats().count(), 0u);
+  set_telemetry_enabled(false);
+  const core::OdqLayerStats conv = odq_forward(1);
+  ASSERT_GT(conv.outputs, 0);
+  simulate_one_layer(conv.sensitive_fraction());
+  util::parallel_for(
+      64, [](std::int64_t, std::int64_t) {}, /*grain=*/1);
+  set_telemetry_enabled(true);
+
+  for (const char* name : {"odq.conv.calls", "odq.conv.outputs",
+                           "odq.conv.sensitive", "sim.runs", "sim.cycles",
+                           "threadpool.tasks"}) {
+    EXPECT_EQ(telemetry_counter(name).total(), 0) << name;
+  }
+  for (const char* name :
+       {"odq.conv.sensitive_fraction", "sim.layer_idle_fraction"}) {
+    EXPECT_EQ(telemetry_series(name).total().count(), 0u) << name;
+  }
 }
 
 TEST_F(MetricsTest, RegistryReturnsSameObjectAndChecksKinds) {
-  obs::Counter& a = obs::counter("t.registry.name");
-  obs::Counter& b = obs::counter("t.registry.name");
-  EXPECT_EQ(&a, &b);
-  EXPECT_THROW(obs::gauge("t.registry.name"), std::invalid_argument);
-  EXPECT_THROW(obs::distribution("t.registry.name"), std::invalid_argument);
+  const core::OdqLayerStats conv = odq_forward(2);
+  simulate_one_layer(conv.sensitive_fraction());
+
+  // A lookup by name reaches the object the call site recorded into.
+  WindowedCounter& outputs = telemetry_counter("odq.conv.outputs");
+  EXPECT_EQ(&outputs, &telemetry_counter("odq.conv.outputs"));
+  EXPECT_EQ(outputs.total(), conv.outputs);
+  WindowedSeries& frac = telemetry_series("odq.conv.sensitive_fraction");
+  EXPECT_EQ(&frac, &telemetry_series("odq.conv.sensitive_fraction"));
+  EXPECT_EQ(frac.total().count(), 1u);
+
+  // Each call-site name holds one kind; asking for the other refuses.
+  for (const char* name :
+       {"odq.conv.calls", "odq.conv.outputs", "odq.conv.sensitive",
+        "odq.conv.predictor_macs", "odq.conv.executor_macs", "sim.runs",
+        "sim.layers", "sim.cycles"}) {
+    EXPECT_THROW(telemetry_series(name), std::invalid_argument) << name;
+  }
+  for (const char* name :
+       {"odq.conv.sensitive_fraction", "sim.layer_idle_fraction"}) {
+    EXPECT_THROW(telemetry_counter(name), std::invalid_argument) << name;
+  }
 }
 
 TEST_F(MetricsTest, ParallelCountsMatchSerialExactly) {
   constexpr std::int64_t kN = 10000;
-  obs::Counter& serial = obs::counter("t.det.serial");
-  obs::Counter& parallel = obs::counter("t.det.parallel");
-  obs::Distribution& sd = obs::distribution("t.det.sdist", 0.0, 100.0, 16);
-  obs::Distribution& pd = obs::distribution("t.det.pdist", 0.0, 100.0, 16);
+  WindowedCounter& serial = telemetry_counter("t.det.serial");
+  WindowedCounter& parallel = telemetry_counter("t.det.parallel");
+  WindowedSeries& ss = telemetry_series("t.det.sseries");
+  WindowedSeries& ps = telemetry_series("t.det.pseries");
 
   for (std::int64_t i = 0; i < kN; ++i) {
     serial.add(i % 7);
-    sd.record(static_cast<double>(i % 100));
+    ss.record(static_cast<std::uint64_t>(i % 100));
   }
   util::parallel_for(
       kN,
       [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) {
           parallel.add(i % 7);
-          pd.record(static_cast<double>(i % 100));
+          ps.record(static_cast<std::uint64_t>(i % 100));
         }
       },
       /*grain=*/64);
 
-  // Counter totals and distribution moments merge to the serial answer no
+  // Counter totals and series histograms merge to the serial answer no
   // matter how the work was sharded.
   EXPECT_EQ(parallel.total(), serial.total());
-  const util::RunningStats s = sd.stats(), p = pd.stats();
+  const LogHistogram s = ss.total(), p = ps.total();
   EXPECT_EQ(p.count(), s.count());
-  EXPECT_DOUBLE_EQ(p.sum(), s.sum());
-  EXPECT_DOUBLE_EQ(p.min(), s.min());
-  EXPECT_DOUBLE_EQ(p.max(), s.max());
-  EXPECT_NEAR(p.mean(), s.mean(), 1e-9);
-  // Histograms agree bin by bin.
-  const util::Histogram hs = sd.histogram(), hp = pd.histogram();
-  ASSERT_EQ(hp.bins(), hs.bins());
-  EXPECT_EQ(hp.total(), hs.total());
-  for (std::size_t i = 0; i < hs.bins(); ++i) {
-    EXPECT_EQ(hp.count(i), hs.count(i)) << "bin " << i;
+  EXPECT_EQ(p.sum(), s.sum());
+  EXPECT_EQ(p.min(), s.min());
+  EXPECT_EQ(p.max(), s.max());
+  for (std::size_t i = 0; i < kLogHistBuckets; ++i) {
+    EXPECT_EQ(p.bucket_count(i), s.bucket_count(i)) << "bucket " << i;
   }
-}
-
-TEST_F(MetricsTest, GaugeAddAccumulatesDeltas) {
-  obs::Gauge& g = obs::gauge("t.gauge.delta");
-  g.add(2.5);
-  g.add(1.0);
-  g.add(-0.5);  // the serve engine's in-flight gauge decrements this way
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
-  g.set(10.0);  // set still overwrites accumulated deltas
-  EXPECT_DOUBLE_EQ(g.value(), 10.0);
 }
 
 TEST_F(MetricsTest, SnapshotIsSortedAndTyped) {
-  obs::counter("t.snap.b").add(2);
-  obs::gauge("t.snap.a").set(1.5);
-  obs::distribution("t.snap.c", 0.0, 10.0, 4).record(3.0);
+  const core::OdqLayerStats conv = odq_forward(3);
+  simulate_one_layer(conv.sensitive_fraction());
 
-  const std::vector<obs::MetricValue> snap = obs::metrics_snapshot();
-  for (std::size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].name, snap[i].name);
+  const TelemetrySnapshot snap = telemetry_snapshot(1 * kSec);
+  for (std::size_t i = 1; i < snap.counters.size(); ++i) {
+    EXPECT_LT(snap.counters[i - 1].name, snap.counters[i].name);
   }
-  ASSERT_EQ(snapshot_of("t.snap.a").size(), 1u);
-  EXPECT_EQ(snapshot_of("t.snap.a")[0].kind,
-            obs::MetricValue::Kind::kGauge);
-  EXPECT_DOUBLE_EQ(snapshot_of("t.snap.a")[0].value, 1.5);
-  EXPECT_EQ(snapshot_of("t.snap.b")[0].count, 2);
-  const obs::MetricValue dist = snapshot_of("t.snap.c")[0];
-  EXPECT_EQ(dist.kind, obs::MetricValue::Kind::kDistribution);
-  EXPECT_EQ(dist.count, 1);
-  EXPECT_DOUBLE_EQ(dist.value, 3.0);
+  for (std::size_t i = 1; i < snap.series.size(); ++i) {
+    EXPECT_LT(snap.series[i - 1].name, snap.series[i].name);
+  }
+
+  // Counts land among the counters, per-call fractions among the series.
+  ASSERT_NE(find_counter(snap, "odq.conv.calls"), nullptr);
+  EXPECT_EQ(find_counter(snap, "odq.conv.calls")->total, 1);
+  EXPECT_EQ(find_series(snap, "odq.conv.calls"), nullptr);
+  ASSERT_NE(find_counter(snap, "odq.conv.executor_macs"), nullptr);
+  EXPECT_EQ(find_counter(snap, "odq.conv.executor_macs")->total,
+            conv.executor_macs);
+  ASSERT_NE(find_counter(snap, "sim.runs"), nullptr);
+  EXPECT_EQ(find_counter(snap, "sim.runs")->total, 1);
+
+  // Fractions are one sample each, in basis points.
+  const TelemetrySeriesSnapshot* frac =
+      find_series(snap, "odq.conv.sensitive_fraction");
+  ASSERT_NE(frac, nullptr);
+  EXPECT_EQ(find_counter(snap, "odq.conv.sensitive_fraction"), nullptr);
+  EXPECT_EQ(frac->total.count, 1u);
+  EXPECT_EQ(frac->total.mean,
+            static_cast<double>(fraction_bp(conv.sensitive_fraction())));
+  const TelemetrySeriesSnapshot* idle =
+      find_series(snap, "sim.layer_idle_fraction");
+  ASSERT_NE(idle, nullptr);
+  EXPECT_EQ(idle->total.count, 1u);
+  EXPECT_LE(idle->total.max, 10000u);
 }
 
 TEST_F(MetricsTest, ResetZeroesButKeepsHandles) {
-  obs::Counter& c = obs::counter("t.reset.c");
-  obs::Distribution& d = obs::distribution("t.reset.d", 0.0, 1.0, 4);
-  c.add(7);
-  d.record(0.25);
-  obs::metrics_reset();
-  EXPECT_EQ(c.total(), 0);
-  EXPECT_EQ(d.stats().count(), 0u);
-  c.add(1);
-  EXPECT_EQ(c.total(), 1);
-}
+  const core::OdqLayerStats first = odq_forward(4);
+  WindowedCounter& outputs = telemetry_counter("odq.conv.outputs");
+  WindowedSeries& frac = telemetry_series("odq.conv.sensitive_fraction");
+  EXPECT_EQ(outputs.total(), first.outputs);
 
-TEST_F(MetricsTest, GaugeWatermarkTracksPeakAndRearmsOnTake) {
-  obs::Gauge& g = obs::gauge("t.wm.gauge");
-  g.add(1.0);
-  g.add(4.0);   // peak: 5
-  g.add(-3.0);  // current: 2
-  EXPECT_DOUBLE_EQ(g.value(), 2.0);
-  EXPECT_DOUBLE_EQ(g.max_watermark(), 5.0);
+  telemetry_reset();
+  EXPECT_EQ(outputs.total(), 0);
+  EXPECT_EQ(frac.total().count(), 0u);
 
-  // take_watermark reports the peak and re-arms at the current value, so
-  // the next window's peak starts from here instead of sticking at the
-  // all-time high.
-  EXPECT_DOUBLE_EQ(g.take_watermark(), 5.0);
-  EXPECT_DOUBLE_EQ(g.max_watermark(), 2.0);
-  g.add(1.0);
-  EXPECT_DOUBLE_EQ(g.max_watermark(), 3.0);
-
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.max_watermark(), 0.0);
-}
-
-TEST_F(MetricsTest, SnapshotCarriesGaugeWatermarkInMax) {
-  obs::Gauge& g = obs::gauge("t.wm.snap");
-  g.set(7.0);
-  g.set(2.0);
-  const std::vector<obs::MetricValue> one = snapshot_of("t.wm.snap");
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_DOUBLE_EQ(one[0].value, 2.0);
-  EXPECT_DOUBLE_EQ(one[0].max, 7.0);  // peak since the previous snapshot
-  // The snapshot re-armed the watermark at the current value.
-  EXPECT_DOUBLE_EQ(snapshot_of("t.wm.snap")[0].max, 2.0);
+  // The call site resolved its handles once; they still record after the
+  // reset, into the same registered objects.
+  const core::OdqLayerStats second = odq_forward(5);
+  EXPECT_EQ(&outputs, &telemetry_counter("odq.conv.outputs"));
+  EXPECT_EQ(outputs.total(), second.outputs);
+  EXPECT_EQ(telemetry_counter("odq.conv.sensitive").total(), second.sensitive);
+  EXPECT_EQ(frac.total().count(), 1u);
 }
 
 TEST_F(MetricsTest, SnapshotIncludesSyntheticTraceDroppedEventsCounter) {
   // Span loss must be visible wherever metrics are, even when no metric
   // named trace.* was ever registered.
-  const std::vector<obs::MetricValue> dropped =
-      snapshot_of("trace.dropped_events");
-  ASSERT_EQ(dropped.size(), 1u);
-  EXPECT_EQ(dropped[0].kind, obs::MetricValue::Kind::kCounter);
-  EXPECT_GE(dropped[0].count, 0);
+  const TelemetrySnapshot snap = telemetry_snapshot(1 * kSec);
+  for (const TelemetryCounterSnapshot& c : snap.counters) {
+    EXPECT_NE(c.name.rfind("trace.", 0), 0u) << c.name;
+  }
+  util::JsonWriter w;
+  telemetry_to_json(snap, w);
+  const util::StatusOr<util::JsonValue> doc = util::json_try_parse(w.take());
+  ASSERT_TRUE(doc.ok()) << doc.status().to_string();
+  ASSERT_TRUE(doc->has("trace_dropped_events"));
+  EXPECT_EQ(doc->at("trace_dropped_events").num,
+            static_cast<double>(trace_dropped_events()));
+  EXPECT_NE(telemetry_to_prometheus(snap).find(
+                "odq_trace_dropped_events_total"),
+            std::string::npos);
 }
 
 TEST_F(MetricsTest, JsonSnapshotParses) {
-  obs::counter("t.json.counter").add(3);
-  obs::gauge("t.json.gauge").set(0.5);
-  obs::distribution("t.json.dist", 0.0, 1.0, 4).record(0.75);
+  // The document odq_profile embeds under "metrics", holding the
+  // executor's counts as recorded by its call site.
+  const core::OdqLayerStats conv = odq_forward(6);
+  const TelemetrySnapshot snap = telemetry_snapshot(1 * kSec);
 
   util::JsonWriter w;
-  obs::metrics_to_json(w);
-  const testjson::Value doc = testjson::parse(w.take());
-  ASSERT_EQ(doc.kind, testjson::Value::Kind::kObject);
-  EXPECT_EQ(doc.at("t.json.counter").at("type").str, "counter");
-  EXPECT_EQ(doc.at("t.json.counter").at("count").num, 3.0);
-  EXPECT_EQ(doc.at("t.json.gauge").at("type").str, "gauge");
-  EXPECT_EQ(doc.at("t.json.dist").at("type").str, "distribution");
-  EXPECT_EQ(doc.at("t.json.dist").at("count").num, 1.0);
-  EXPECT_EQ(doc.at("t.json.dist").at("mean").num, 0.75);
+  telemetry_to_json(snap, w);
+  const util::StatusOr<util::JsonValue> parsed = util::json_try_parse(w.take());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+  const util::JsonValue& doc = *parsed;
+  EXPECT_EQ(doc.at("bench").str, "odq_telemetry");
+
+  const util::JsonValue& counters = doc.at("counters");
+  EXPECT_EQ(counters.at("odq.conv.calls").at("total").num, 1.0);
+  EXPECT_EQ(counters.at("odq.conv.outputs").at("total").num,
+            static_cast<double>(conv.outputs));
+  EXPECT_EQ(counters.at("odq.conv.predictor_macs").at("total").num,
+            static_cast<double>(conv.predictor_macs));
+  const util::JsonValue& frac =
+      doc.at("series").at("odq.conv.sensitive_fraction");
+  EXPECT_EQ(frac.at("total").at("count").num, 1.0);
+  EXPECT_EQ(frac.at("total").at("mean").num,
+            static_cast<double>(fraction_bp(conv.sensitive_fraction())));
 }
 
 }  // namespace
-}  // namespace odq
+}  // namespace odq::obs

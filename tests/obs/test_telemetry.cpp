@@ -1,18 +1,30 @@
 // Telemetry registry, snapshot/exposition layer, and the background
-// exporter (manual injected clock; no wall-time dependence in assertions).
+// exporter (manual injected clock; no wall-time dependence in assertions),
+// plus the whole plane as the serving engine, the ODQ executor and the
+// accelerator simulator record into it.
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "accel/config.hpp"
+#include "accel/simulator.hpp"
 #include "common/temp_path.hpp"
+#include "core/odq.hpp"
 #include "obs/trace.hpp"
+#include "serve/engine.hpp"
 #include "util/json.hpp"
 #include "util/json_read.hpp"
+#include "util/rng.hpp"
 
 namespace odq::obs {
 namespace {
@@ -228,6 +240,103 @@ TEST_F(TelemetryTest, ExporterWithBadPathReportsButDoesNotThrowFromStop) {
   exporter.start();
   exporter.stop();  // swallows the write failure; flush_once would throw
   EXPECT_THROW(exporter.flush_once(), std::runtime_error);
+}
+
+// Sleeps ~1 ms per request, so the engine records a known ~1 ms latency.
+class SleepSession : public serve::InferenceSession {
+ public:
+  tensor::Tensor run(const tensor::Tensor& input) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return input;
+  }
+  std::string scheme() const override { return "sleep"; }
+};
+
+TEST_F(TelemetryTest, ServeOdqAndSimulatorShareOnePlane) {
+  // One served request.
+  serve::InferResponse res;
+  {
+    serve::ServeEngine engine(serve::EngineConfig{}, [](int) {
+      return std::make_unique<SleepSession>();
+    });
+    auto fut = engine.submit(tensor::Tensor(tensor::Shape{1, 1, 2, 2}));
+    ASSERT_TRUE(fut.ok());
+    res = fut->get();
+    ASSERT_TRUE(res.status.ok());
+  }
+
+  // One ODQ conv forward.
+  util::Rng rng(5);
+  tensor::Tensor x(tensor::Shape{2, 4, 8, 8}), w(tensor::Shape{8, 4, 3, 3});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = rng.uniform_f(0, 1);
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.3f);
+  core::OdqConfig cfg;
+  cfg.threshold = 0.5f;
+  core::OdqConvExecutor exec(cfg);
+  (void)exec.run(x, w, tensor::Tensor(), 1, 1, /*conv_id=*/0);
+  const core::OdqLayerStats conv = exec.total_stats();
+
+  // One simulated inference of that conv.
+  accel::ConvWorkload wl;
+  wl.name = "conv0";
+  wl.out_channels = 8;
+  wl.out_elems = 8 * 8 * 8;
+  wl.macs_per_out = 4 * 9;
+  wl.total_macs = wl.out_elems * wl.macs_per_out;
+  wl.input_elems = 4 * 8 * 8;
+  wl.weight_elems = w.numel();
+  wl.odq_sensitive_fraction = conv.sensitive_fraction();
+  wl.sensitive_per_channel.assign(8, conv.sensitive / (2 * 8));  // per image
+  (void)accel::simulate(accel::odq_accelerator(), {wl});
+
+  const TelemetrySnapshot snap = telemetry_snapshot(1 * kSec);
+
+  // Every name is registered once, under one kind.
+  std::multiset<std::string> names;
+  for (const auto& s : snap.series) names.insert(s.name);
+  for (const auto& c : snap.counters) names.insert(c.name);
+  for (const std::string& n : names) EXPECT_EQ(names.count(n), 1u) << n;
+  for (const char* n :
+       {"serve.latency_us", "serve.batch_size", "serve.queue_depth",
+        "serve.in_flight", "serve.requests", "odq.conv.outputs",
+        "odq.conv.sensitive", "odq.conv.sensitive_fraction", "sim.runs",
+        "sim.layer_idle_fraction"}) {
+    EXPECT_EQ(names.count(n), 1u) << n;
+  }
+
+  auto series = [&](const std::string& name) {
+    for (const auto& s : snap.series) {
+      if (s.name == name) return s;
+    }
+    ADD_FAILURE() << "no series " << name;
+    return TelemetrySeriesSnapshot{};
+  };
+  auto counter = [&](const std::string& name) -> std::int64_t {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) return c.total;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return 0;
+  };
+
+  // The ~1 ms latency resolves within one log bucket (<= 1/32 of the
+  // value).
+  const auto latency = static_cast<std::uint64_t>(res.latency_us());
+  ASSERT_GE(latency, 1000u);
+  const TelemetryWindowStats lat = series("serve.latency_us").total;
+  EXPECT_EQ(lat.count, 1u);
+  EXPECT_GE(lat.p50, latency);
+  EXPECT_LE(lat.p50 - latency, latency / 32);
+  EXPECT_EQ(counter("serve.requests"), 1);
+
+  // The plane's conv counters are the executor's exact counts.
+  const std::int64_t outputs = counter("odq.conv.outputs");
+  const std::int64_t sensitive = counter("odq.conv.sensitive");
+  ASSERT_GT(outputs, 0);
+  EXPECT_EQ(static_cast<double>(sensitive) / static_cast<double>(outputs),
+            conv.sensitive_fraction());
+  EXPECT_EQ(counter("sim.runs"), 1);
+  EXPECT_EQ(series("sim.layer_idle_fraction").total.count, 1u);
 }
 
 }  // namespace

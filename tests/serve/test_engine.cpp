@@ -23,6 +23,7 @@
 #include "nn/linear.hpp"
 #include "nn/model.hpp"
 #include "nn/pooling.hpp"
+#include "obs/telemetry.hpp"
 #include "serve/session.hpp"
 #include "util/fault.hpp"
 #include "util/status.hpp"
@@ -137,6 +138,8 @@ TEST_F(ServeEngineTest, CoalescingIsDeterministicUnderAGatedWorker) {
   cfg.num_workers = 1;
   cfg.max_batch = 3;
   cfg.flush_timeout_us = 1000;
+  obs::set_telemetry_enabled(true);
+  obs::telemetry_reset();
   ServeEngine engine(cfg, echo_factory(state));
 
   std::vector<std::future<InferResponse>> futs;
@@ -160,9 +163,13 @@ TEST_F(ServeEngineTest, CoalescingIsDeterministicUnderAGatedWorker) {
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(stats.multi_request_batches, 1u);
   EXPECT_EQ(stats.max_batch_observed, 3u);
-  ASSERT_EQ(stats.batch_size_hist.size(), 4u);  // max_batch + 1
-  EXPECT_EQ(stats.batch_size_hist[1], 1u);
-  EXPECT_EQ(stats.batch_size_hist[3], 1u);
+  // Batch sizes below 64 each have an exact bucket in the plane's series.
+  const obs::LogHistogram sizes =
+      obs::telemetry_series("serve.batch_size").total();
+  obs::set_telemetry_enabled(false);
+  EXPECT_EQ(sizes.count(), 2u);
+  EXPECT_EQ(sizes.bucket_count(obs::log_bucket_index(1)), 1u);
+  EXPECT_EQ(sizes.bucket_count(obs::log_bucket_index(3)), 1u);
 }
 
 TEST_F(ServeEngineTest, DeadlineFlushHoldsTheBatchOpen) {

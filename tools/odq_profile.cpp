@@ -3,11 +3,13 @@
 //   odq_profile --model lenet --trace out.trace.json --report out.json
 //
 // Builds the requested model, runs it end-to-end on synthetic data with the
-// ODQ executor installed and tracing + metrics enabled, then emits
+// ODQ executor installed and tracing + telemetry enabled, then emits
 //   * a Chrome Trace Event Format file (chrome://tracing / Perfetto), and
 //   * a JSON report: per-layer wall time, sensitive-output fraction
 //     (exactly OdqConvExecutor::layer_stats), predictor vs executor MACs,
-//     bytes moved at INT4 + mask width, plus a full metrics snapshot.
+//     bytes moved at INT4 + mask width, plus under "metrics" the
+//     observability plane's snapshot document (obs::telemetry_to_json, the
+//     same schema the telemetry exporter writes).
 //
 // Options:
 //   --model <name>       lenet | resnet20 | resnet56 | vgg16 | densenet
@@ -30,7 +32,7 @@
 #include "data/synthetic.hpp"
 #include "nn/init.hpp"
 #include "nn/models.hpp"
-#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "tool_main.hpp"
@@ -167,7 +169,7 @@ int tool_main(int argc, char** argv) {
 
   {
     obs::set_trace_enabled(true);
-    obs::set_metrics_enabled(true);
+    obs::set_telemetry_enabled(true);
 
     int classes = 10;
     nn::Model model = build_model(opt, &classes);
@@ -248,8 +250,11 @@ int tool_main(int argc, char** argv) {
     }
     w.end_array();
     w.kv("total_bytes_moved", total_bytes);
+    // The snapshot's single advance folds the whole run into one epoch, so
+    // every window holds every sample.
+    const auto snapshot_us = static_cast<std::uint64_t>(total_seconds * 1e6);
     w.key("metrics");
-    obs::metrics_to_json(w);
+    obs::telemetry_to_json(obs::telemetry_snapshot(snapshot_us), w);
     w.end_object();
 
     const std::string report = w.take();

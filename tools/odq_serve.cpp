@@ -7,11 +7,11 @@
 // Builds the requested model (optionally loading a v3 checkpoint into every
 // worker replica), starts a ServeEngine, and drives it from concurrent
 // client threads submitting single-sample requests. Reports p50/p95/p99
-// latency, throughput and the observed batch-size distribution, and mirrors
-// the results as a bench-JSON document odq_bench_diff can gate: the
-// deterministic cells (request/error counts, bit-identity) live in the
-// "serve" section; wall-clock cells live in "serve_host_wall_clock", which
-// the gate ignores by default.
+// latency, throughput and (with --telemetry) the observed batch-size
+// distribution, and mirrors the results as a bench-JSON document
+// odq_bench_diff can gate: the deterministic cells (request/error counts,
+// bit-identity) live in the "serve" section; wall-clock cells live in
+// "serve_host_wall_clock", which the gate ignores by default.
 //
 // --verify re-runs every request sequentially (batch size 1, fresh session)
 // and compares outputs bit-for-bit against the served responses: dynamic
@@ -96,7 +96,6 @@
 #include "nn/init.hpp"
 #include "nn/models.hpp"
 #include "obs/histogram.hpp"
-#include "obs/metrics.hpp"
 #include "obs/quality.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -1184,14 +1183,12 @@ int tool_main(int argc, char** argv) {
   std::vector<std::shared_ptr<nn::ConvExecutor>> worker_execs(
       static_cast<std::size_t>(opt.workers));
 
-  // Telemetry: switch the windowed registry on and run the background
+  // Telemetry: switch the observability plane on and run the background
   // exporter over the whole load phase, so odq_top can tail the snapshot
-  // while the run is live. Metrics come on too — the queue-depth peak line
-  // below reads the gauge watermark.
+  // while the run is live.
   std::unique_ptr<obs::TelemetryExporter> exporter;
   if (!opt.telemetry_path.empty()) {
     obs::set_telemetry_enabled(true);
-    obs::set_metrics_enabled(true);
     obs::TelemetryExporterConfig tcfg;
     tcfg.json_path = opt.telemetry_path;
     tcfg.prom_path = prom_path_for(opt.telemetry_path);
@@ -1470,13 +1467,20 @@ int tool_main(int argc, char** argv) {
     std::fprintf(stderr, "  batches %" PRIu64 " (%.0f%% multi-request, "
                  "largest %" PRIu64 ")\n",
                  stats.batches, 100.0 * multi_frac, stats.max_batch_observed);
-    std::fprintf(stderr, "  batch-size histogram:");
-    for (std::size_t k = 1; k < stats.batch_size_hist.size(); ++k) {
-      if (stats.batch_size_hist[k] > 0) {
-        std::fprintf(stderr, "  %zu:%" PRIu64, k, stats.batch_size_hist[k]);
+    if (obs::telemetry_enabled()) {
+      // Buckets below 64 hold one value each, so the counts are exact for
+      // any --max-batch under 64.
+      const obs::LogHistogram sizes =
+          obs::telemetry_series("serve.batch_size").total();
+      std::fprintf(stderr, "  batch-size histogram:");
+      for (std::size_t b = 0; b < obs::kLogHistBuckets; ++b) {
+        if (sizes.bucket_count(b) > 0) {
+          std::fprintf(stderr, "  %" PRIu64 ":%" PRIu64, obs::log_bucket_lo(b),
+                       sizes.bucket_count(b));
+        }
       }
+      std::fputc('\n', stderr);
     }
-    std::fputc('\n', stderr);
     if (opt.scheme == "odq") {
       core::OdqLayerStats total;
       for (const auto& exec : worker_execs) {
@@ -1526,9 +1530,9 @@ int tool_main(int argc, char** argv) {
                    telemetry_snapshot_valid == 1 ? opt.telemetry_path.c_str()
                                                  : "INVALID");
       std::fprintf(stderr,
-                   "  queue depth peak %.0f  slo violations %" PRIu64
+                   "  queue depth peak %" PRIu64 "  slo violations %" PRIu64
                    " (slo %lld us)  trace drops %" PRIu64 "\n",
-                   obs::gauge("serve.queue_depth").max_watermark(),
+                   obs::telemetry_series("serve.queue_depth").total().max(),
                    stats.slo_violations, static_cast<long long>(opt.slo_us),
                    obs::trace_dropped_events());
       if (opt.check_telemetry) {

@@ -1,5 +1,5 @@
 // odq_top — live viewer for the telemetry snapshot the TelemetryExporter
-// writes (see obs/telemetry.hpp and the "Serving telemetry" section of
+// writes (see obs/telemetry.hpp and "The observability plane" section of
 // docs/observability.md).
 //
 //   odq_top --snapshot serve.telemetry.json            # live tail
