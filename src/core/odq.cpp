@@ -14,7 +14,6 @@
 #include "quant/static_executor.hpp"
 #include "tensor/ops.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace odq::core {
@@ -251,9 +250,6 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
 OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
                        std::int64_t stride, std::int64_t pad,
                        const OdqConfig& cfg) {
-  if (cfg.num_threads == 1) {
-    return odq_conv_reference(input, weight, stride, pad, cfg);
-  }
   check_bits(input, weight, cfg);
   const int lb = cfg.low_bits;
 
@@ -268,25 +264,26 @@ OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
   OdqConvResult res;
   res.scale = input.scale * weight.scale;
 
-  // Step 2 fused with packing: one pass over the codes produces the
-  // digit-split (HBS/LBS), cache-blocked im2col rows and filter panels the
-  // whole pipeline shares (gemm/packed.hpp).
-  gemm::PackedSplitIm2col cols;
-  gemm::PackedSplitWeights wts;
+  // Step 2 needs no pass of its own: the pipeline packs the same single
+  // int8 code plane and filter panel as static INT8 (gemm/packed.hpp), and
+  // the kernels take the digits apart in-register.
+  gemm::PackedIm2col cols;
+  gemm::PackedWeights wts;
   {
     ODQ_TRACE_SPAN("odq.pack");
     util::WallTimer timer;
-    cols = gemm::pack_im2col_split(input.q, lb, kh, kw, stride, pad);
-    wts = gemm::pack_weights_split(weight.q, lb);
+    cols = gemm::pack_im2col_i8(input.q, kh, kw, stride, pad);
+    wts = gemm::pack_weights_i8(weight.q);
     res.stats.pack_seconds = timer.seconds();
   }
 
-  // Step 3: sensitivity prediction — tiled INT-GEMM over the high digit
-  // planes with the 2*N_LBS shift folded into the store.
+  // Step 3: sensitivity prediction — tiled INT-GEMM over the high digits
+  // (code >> N_LBS, extracted in-register) with the 2*N_LBS shift folded
+  // into the store.
   {
     ODQ_TRACE_SPAN("odq.gemm");
     util::WallTimer timer;
-    res.predictor_acc = gemm::gemm_conv_i8(cols.high, wts.high, 2 * lb);
+    res.predictor_acc = gemm::gemm_conv_i8(cols, wts, 2 * lb, lb);
     res.stats.gemm_seconds = timer.seconds();
   }
 

@@ -13,6 +13,12 @@
 //   5. Final output = predictor partial sums + executor remainders,
 //      dequantized with the combined input*weight scale (+ bias).
 //
+// odq_conv realizes steps 2-5 on one packed code plane: the predictor
+// shifts the high digits out in-register, and since the four Eq. (3) terms
+// sum to the full product, a sensitive output's final accumulator is the
+// full-code dot (gemm/sparse_epilogue.hpp). odq_conv_reference performs the
+// explicit split and recombination as the independent oracle.
+//
 // Sensitive outputs are therefore *bit-exact* INT4xINT4 results; insensitive
 // outputs keep the predictor-only low-precision value. This is the property
 // that separates ODQ from input-directed schemes (DRQ): precision follows
@@ -46,13 +52,6 @@ struct OdqConfig {
   // across the range the way DoReFa's fixed [0,1] clip does. Values above
   // the clip saturate at the top code.
   float act_clip_percentile = -1.0f;
-  // Execution threading. 0 (default) runs the tiled pipeline on the global
-  // util::ThreadPool (pool size: ODQ_THREADS env var, else hardware
-  // concurrency); 1 forces the serial reference implementation
-  // (odq_conv_reference), the oracle the parallel-equivalence tests compare
-  // against. Both paths are bit-exact on integer accumulators, so the
-  // choice never affects results — only scheduling.
-  int num_threads = 0;
 };
 
 struct OdqLayerStats {
@@ -62,9 +61,9 @@ struct OdqLayerStats {
   std::int64_t predictor_macs = 0;  // INT2 MACs (every output)
   std::int64_t executor_macs = 0;   // remaining MACs (sensitive outputs only)
   // Phase wall time of the packed-GEMM pipeline (zero on the serial
-  // reference path, which has no pack/GEMM phases): operand packing +
-  // digit split, predictor INT-GEMM, and mask-aware sparse result
-  // generation. Additive across calls, like the MAC counters.
+  // reference path, which has no pack/GEMM phases): packing the one int8
+  // code plane and filter panel, predictor INT-GEMM, and mask-aware sparse
+  // result generation. Additive across calls, like the MAC counters.
   double pack_seconds = 0.0;
   double gemm_seconds = 0.0;
   double sparse_epilogue_seconds = 0.0;
@@ -104,15 +103,17 @@ struct OdqConvResult {
 
 // Core integer pipeline on already-quantized tensors. `input` must be an
 // unsigned QTensor with `cfg.total_bits` bits, `weight` a signed one.
-// Runs the fused mask+executor passes tiled over (batch, out-channel) on
-// the global thread pool unless cfg.num_threads == 1.
+// Packs one int8 code plane and one filter panel, then runs the predictor
+// GEMM and the fused mask+executor passes tiled over (batch, out-channel)
+// on the global thread pool (serially when called from a pool worker).
 OdqConvResult odq_conv(const quant::QTensor& input,
                        const quant::QTensor& weight, std::int64_t stride,
                        std::int64_t pad, const OdqConfig& cfg);
 
-// Serial scalar reference for odq_conv: separate mask and result-generation
-// passes, no tiling, no pool. Kept as the oracle for the parallel path
-// (tests/core/test_odq_parallel.cpp asserts bit-exact agreement).
+// Serial scalar reference for odq_conv: explicit bit split, direct conv,
+// separate mask and result-generation passes, no tiling, no pool. It shares
+// no code with the packed path and is called only as an oracle (tests,
+// benches); tests/core/test_odq_parallel.cpp asserts bit-exact agreement.
 OdqConvResult odq_conv_reference(const quant::QTensor& input,
                                  const quant::QTensor& weight,
                                  std::int64_t stride, std::int64_t pad,

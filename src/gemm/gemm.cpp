@@ -9,9 +9,9 @@ using tensor::Tensor;
 using tensor::TensorI32;
 
 TensorI32 gemm_conv_i8(const PackedIm2col& cols, const PackedWeights& wts,
-                       int shift) {
+                       int shift, int digit_shift) {
   TensorI32 out(Shape{cols.batches, wts.oc, cols.oh, cols.ow});
-  gemm_conv_int<std::int32_t>(cols, wts, shift, out.data());
+  gemm_conv_int<std::int32_t>(cols, wts, shift, digit_shift, out.data());
   return out;
 }
 

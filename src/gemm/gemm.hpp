@@ -1,12 +1,13 @@
 // Tiled conv-GEMM microkernels over packed im2col operands (gemm/packed.hpp).
 //
 // One integer kernel serves every scheme that needs exact accumulators — the
-// ODQ sensitivity predictor (with the 2*N_LBS shift folded into the store),
-// static INT-N codes, and the differential test harness — with a pluggable
-// accumulate type so tests can prove the tiling is overflow-safe headroom
-// aside (int32 vs int64 instantiations must agree bit-for-bit). Integer
-// addition is associative, so any tiling/unroll order is bit-identical to
-// the direct-conv oracle at any thread count.
+// ODQ sensitivity predictor (high digits extracted in-register by a digit
+// shift, the 2*N_LBS shift folded into the store), static INT-N codes, and
+// the differential test harness — with a pluggable accumulate type so tests
+// can prove the tiling is overflow-safe headroom aside (int32 vs int64
+// instantiations must agree bit-for-bit). Integer addition is associative,
+// so any tiling/unroll order is bit-identical to the direct-conv oracle at
+// any thread count.
 //
 // The float kernel is deliberately NOT register-blocked over K: it seeds the
 // accumulator with the bias and adds products in packed-row order with a
@@ -34,7 +35,11 @@ static_assert(kKTile == simd::kKTileLanes,
 namespace detail {
 
 inline void check_operands(std::int64_t cols_k, std::int64_t cols_kp,
-                           std::int64_t wts_k, std::int64_t wts_kp) {
+                           std::int64_t wts_k, std::int64_t wts_kp,
+                           int digit_shift = 0) {
+  if (digit_shift < 0 || digit_shift > 7) {
+    throw std::invalid_argument("gemm_conv: digit shift outside [0, 7]");
+  }
   if (cols_k != wts_k || cols_kp != wts_kp) {
     throw std::invalid_argument("gemm_conv: operand depth mismatch");
   }
@@ -46,17 +51,22 @@ inline void check_operands(std::int64_t cols_k, std::int64_t cols_kp,
 
 }  // namespace detail
 
-// out[((b*oc + f)*rows) + r] = (cols.row(b,r) . wts.row(f)) << shift,
-// accumulated in Acc. `out` must hold cols.batches * wts.oc * cols.rows
-// elements. Parallel over (batch, filter-block) tiles; each tile owns
-// disjoint output planes.
+// out[((b*oc + f)*rows) + r] =
+//     (sum_p (cols.row(b,r)[p] >> ds) * (wts.row(f)[p] >> ds)) << shift,
+// accumulated in Acc, with ds = digit_shift. digit_shift 0 is the plain
+// full-code dot; the ODQ predictor passes N_LBS to multiply the high digits
+// of the same packed codes (simd::Kernels::dot_i8_high, exact in int32
+// within the depth budget, so the int64 instantiation widens its result).
+// `out` must hold cols.batches * wts.oc * cols.rows elements. Parallel over
+// (batch, filter-block) tiles; each tile owns disjoint output planes.
 template <typename Acc>
 void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
-                   int shift, Acc* out) {
+                   int shift, int digit_shift, Acc* out) {
   static_assert(std::is_same_v<Acc, std::int32_t> ||
                     std::is_same_v<Acc, std::int64_t>,
                 "gemm_conv_int: Acc must be int32 or int64");
-  detail::check_operands(cols.k, cols.k_padded, wts.k, wts.k_padded);
+  detail::check_operands(cols.k, cols.k_padded, wts.k, wts.k_padded,
+                         digit_shift);
   const std::int64_t rows = cols.rows;
   const std::int64_t kp = cols.k_padded;
   const std::int64_t oc = wts.oc;
@@ -81,7 +91,9 @@ void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
               for (std::int64_t f = f0; f < f1; ++f) {
                 const std::int8_t* wrow = wts.row(f);
                 Acc s;
-                if constexpr (std::is_same_v<Acc, std::int64_t>) {
+                if (digit_shift != 0) {
+                  s = kk.dot_i8_high(a, wrow, kp, digit_shift);
+                } else if constexpr (std::is_same_v<Acc, std::int64_t>) {
                   s = kk.dot_i8_acc64(a, wrow, kp);
                 } else {
                   s = kk.dot_i8(a, wrow, kp);
@@ -97,7 +109,8 @@ void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
 
 // Convenience: fresh int32 accumulators shaped [N, OC, OH, OW].
 tensor::TensorI32 gemm_conv_i8(const PackedIm2col& cols,
-                               const PackedWeights& wts, int shift = 0);
+                               const PackedWeights& wts, int shift = 0,
+                               int digit_shift = 0);
 
 // Float GEMM, bit-identical to tensor::conv2d_direct: per output, one
 // accumulator seeded with the bias, products added in im2col order.

@@ -1,5 +1,6 @@
 #include "gemm/packed.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -48,15 +49,18 @@ void init_packed(PackedIm2colT<T>& p, const ConvGeometry& g) {
   p.data.assign(static_cast<std::size_t>(g.n * p.rows * p.k_padded), T{});
 }
 
-// Shared row walker: for each packed row (one output pixel), visit the
-// receptive field in im2col order (ic, ki, kj) and call emit(p, value) for
-// in-bounds taps; out-of-bounds and depth-padding entries stay zero from
-// init_packed. Tiled over (batch, output-row blocks): every tile writes a
-// disjoint slice of rows, so results are identical at any pool size.
-template <typename Src, typename Emit>
-void walk_rows(const ConvGeometry& g, std::int64_t kh, std::int64_t kw,
-               std::int64_t stride, std::int64_t pad, std::int64_t rows,
-               const Src* src, const Emit& emit) {
+// Packs one receptive field per row, in im2col order (ic, ki, kj);
+// out-of-bounds and depth-padding entries stay zero from init_packed. Tiled
+// over (batch, output-row blocks): every tile writes a disjoint slice of
+// rows, so results are identical at any pool size.
+template <typename T>
+PackedIm2colT<T> pack_im2col_impl(const Shape& s, const T* src,
+                                  std::int64_t kh, std::int64_t kw,
+                                  std::int64_t stride, std::int64_t pad) {
+  const ConvGeometry g = check_geometry(s, kh, kw, stride, pad);
+  PackedIm2colT<T> out;
+  init_packed(out, g);
+  const std::int64_t rows = out.rows;
   const std::int64_t row_blocks = (rows + kRowTile - 1) / kRowTile;
   util::parallel_for(
       g.n * row_blocks,
@@ -65,25 +69,26 @@ void walk_rows(const ConvGeometry& g, std::int64_t kh, std::int64_t kw,
           const std::int64_t b = t / row_blocks;
           const std::int64_t r0 = (t % row_blocks) * kRowTile;
           const std::int64_t r1 = std::min(rows, r0 + kRowTile);
-          const Src* img = src + b * g.c * g.h * g.w;
+          const T* img = src + b * g.c * g.h * g.w;
           for (std::int64_t r = r0; r < r1; ++r) {
+            T* dst = out.row(b, r);
             const std::int64_t oy = r / g.ow;
             const std::int64_t ox = r % g.ow;
             const std::int64_t iy0 = oy * stride - pad;
             const std::int64_t ix0 = ox * stride - pad;
             std::int64_t p = 0;
             for (std::int64_t ic = 0; ic < g.c; ++ic) {
-              const Src* plane = img + ic * g.h * g.w;
+              const T* plane = img + ic * g.h * g.w;
               for (std::int64_t ki = 0; ki < kh; ++ki) {
                 const std::int64_t iy = iy0 + ki;
                 if (iy < 0 || iy >= g.h) {
                   p += kw;
                   continue;
                 }
-                const Src* line = plane + iy * g.w;
+                const T* line = plane + iy * g.w;
                 for (std::int64_t kj = 0; kj < kw; ++kj, ++p) {
                   const std::int64_t ix = ix0 + kj;
-                  if (ix >= 0 && ix < g.w) emit(b, r, p, line[ix]);
+                  if (ix >= 0 && ix < g.w) dst[p] = line[ix];
                 }
               }
             }
@@ -91,65 +96,11 @@ void walk_rows(const ConvGeometry& g, std::int64_t kh, std::int64_t kw,
         }
       },
       /*grain=*/1);
-}
-
-}  // namespace
-
-PackedIm2col pack_im2col_i8(const TensorI8& input, std::int64_t kh,
-                            std::int64_t kw, std::int64_t stride,
-                            std::int64_t pad) {
-  const ConvGeometry g = check_geometry(input.shape(), kh, kw, stride, pad);
-  PackedIm2col out;
-  init_packed(out, g);
-  const std::int64_t kp = out.k_padded;
-  std::int8_t* dst = out.data.data();
-  walk_rows(g, kh, kw, stride, pad, out.rows, input.data(),
-            [&](std::int64_t b, std::int64_t r, std::int64_t p,
-                std::int8_t v) { dst[(b * out.rows + r) * kp + p] = v; });
   return out;
 }
 
-PackedSplitIm2col pack_im2col_split(const TensorI8& input, int low_bits,
-                                    std::int64_t kh, std::int64_t kw,
-                                    std::int64_t stride, std::int64_t pad) {
-  const ConvGeometry g = check_geometry(input.shape(), kh, kw, stride, pad);
-  PackedSplitIm2col out;
-  out.low_bits = low_bits;
-  init_packed(out.high, g);
-  init_packed(out.low, g);
-  const std::int64_t kp = out.high.k_padded;
-  std::int8_t* hi = out.high.data.data();
-  std::int8_t* lo = out.low.data.data();
-  walk_rows(g, kh, kw, stride, pad, out.high.rows, input.data(),
-            [&](std::int64_t b, std::int64_t r, std::int64_t p,
-                std::int8_t v) {
-              const std::int64_t at = (b * out.high.rows + r) * kp + p;
-              hi[at] = quant::high_part(v, low_bits);
-              lo[at] = quant::low_part(v, low_bits);
-            });
-  return out;
-}
-
-PackedIm2colF pack_im2col_f32(const Tensor& input, std::int64_t kh,
-                              std::int64_t kw, std::int64_t stride,
-                              std::int64_t pad) {
-  const ConvGeometry g = check_geometry(input.shape(), kh, kw, stride, pad);
-  PackedIm2colF out;
-  init_packed(out, g);
-  const std::int64_t kp = out.k_padded;
-  float* dst = out.data.data();
-  walk_rows(g, kh, kw, stride, pad, out.rows, input.data(),
-            [&](std::int64_t b, std::int64_t r, std::int64_t p, float v) {
-              dst[(b * out.rows + r) * kp + p] = v;
-            });
-  return out;
-}
-
-namespace {
-
-template <typename T, typename Src, typename Emit>
-PackedWeightsT<T> pack_weights_impl(const Shape& ws, const Src* src,
-                                    const Emit& emit) {
+template <typename T>
+PackedWeightsT<T> pack_weights_impl(const Shape& ws, const T* src) {
   if (ws.rank() != 4) {
     throw std::invalid_argument("gemm::pack_weights: weight must be OIHW");
   }
@@ -159,41 +110,31 @@ PackedWeightsT<T> pack_weights_impl(const Shape& ws, const Src* src,
   out.k_padded = pad_k(out.k);
   out.data.assign(static_cast<std::size_t>(out.oc * out.k_padded), T{});
   for (std::int64_t f = 0; f < out.oc; ++f) {
-    for (std::int64_t p = 0; p < out.k; ++p) {
-      emit(out.row(f), p, src[f * out.k + p]);
-    }
+    std::copy(src + f * out.k, src + (f + 1) * out.k, out.row(f));
   }
   return out;
 }
 
 }  // namespace
 
-PackedWeights pack_weights_i8(const TensorI8& weight) {
-  return pack_weights_impl<std::int8_t>(
-      weight.shape(), weight.data(),
-      [](std::int8_t* row, std::int64_t p, std::int8_t v) { row[p] = v; });
+PackedIm2col pack_im2col_i8(const TensorI8& input, std::int64_t kh,
+                            std::int64_t kw, std::int64_t stride,
+                            std::int64_t pad) {
+  return pack_im2col_impl(input.shape(), input.data(), kh, kw, stride, pad);
 }
 
-PackedSplitWeights pack_weights_split(const TensorI8& weight, int low_bits) {
-  PackedSplitWeights out;
-  out.low_bits = low_bits;
-  out.high = pack_weights_impl<std::int8_t>(
-      weight.shape(), weight.data(),
-      [low_bits](std::int8_t* row, std::int64_t p, std::int8_t v) {
-        row[p] = quant::high_part(v, low_bits);
-      });
-  out.low = pack_weights_impl<std::int8_t>(
-      weight.shape(), weight.data(),
-      [low_bits](std::int8_t* row, std::int64_t p, std::int8_t v) {
-        row[p] = quant::low_part(v, low_bits);
-      });
-  return out;
+PackedIm2colF pack_im2col_f32(const Tensor& input, std::int64_t kh,
+                              std::int64_t kw, std::int64_t stride,
+                              std::int64_t pad) {
+  return pack_im2col_impl(input.shape(), input.data(), kh, kw, stride, pad);
+}
+
+PackedWeights pack_weights_i8(const TensorI8& weight) {
+  return pack_weights_impl(weight.shape(), weight.data());
 }
 
 PackedWeightsF pack_weights_f32(const Tensor& weight) {
-  return pack_weights_impl<float>(
-      weight.shape(), weight.data(),
-      [](float* row, std::int64_t p, float v) { row[p] = v; });
+  return pack_weights_impl(weight.shape(), weight.data());
 }
 
 TensorI8 unpack_im2col_i8(const PackedIm2col& packed, std::int64_t c,
@@ -209,18 +150,6 @@ TensorI8 unpack_im2col_i8(const PackedIm2col& packed, std::int64_t c,
         out[(b * packed.k + p) * packed.rows + r] = row[p];
       }
     }
-  }
-  return out;
-}
-
-TensorI8 unpack_im2col_split(const PackedSplitIm2col& packed, std::int64_t c,
-                             std::int64_t kh, std::int64_t kw) {
-  TensorI8 hi = unpack_im2col_i8(packed.high, c, kh, kw);
-  TensorI8 lo = unpack_im2col_i8(packed.low, c, kh, kw);
-  TensorI8 out(hi.shape());
-  for (std::int64_t i = 0; i < out.numel(); ++i) {
-    out[i] = static_cast<std::int8_t>(
-        quant::recompose(hi[i], lo[i], packed.low_bits));
   }
   return out;
 }

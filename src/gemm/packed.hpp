@@ -16,30 +16,29 @@
 //     microkernels never handle a remainder. Zero entries contribute
 //     nothing to any integer partial product, so padding is invisible to
 //     the accumulators (and to float sums, modulo the sign of zero).
-//   * ODQ operands are *digit-split at pack time*: one packed plane for the
-//     high-order digits (HBS) and one for the low-order digits (LBS) of
-//     each code (quant::high_part / low_part), produced in a single pass
-//     over the input. The predictor multiplies high x high; Eq. (3) result
-//     generation reads all four plane pairs. This is the layout ROADMAP
-//     item 1's bit-packed SIMD kernels will consume multiple-per-lane.
+//   * ODQ packs the same single int8 code plane and filter panel as static
+//     INT8 — no digit planes are ever stored. ODQ codes nest their high
+//     digit inside the full code (v == ((v >> L) << L) + (v & (2^L - 1))),
+//     so the predictor extracts I_HBS / W_HBS in-register with an
+//     arithmetic shift (simd::Kernels::dot_i8_high), and the Eq. (3)
+//     epilogue, being linear in the codes, is one full-code dot.
 //
-// Packing is lossless: unpack_* recover exactly the im2col matrix (and the
-// split digits) the scalar reference paths compute, which the
-// tests/gemm round-trip fuzz suite asserts.
+// Packing is lossless: unpack_im2col_i8 recovers exactly the im2col matrix
+// the scalar reference paths compute, which the tests/gemm round-trip fuzz
+// suite asserts.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "quant/bitsplit.hpp"
 #include "tensor/tensor.hpp"
 
 namespace odq::gemm {
 
 // Depth-padding quantum: K is rounded up to a multiple of this so the
 // microkernel's unrolled accumulator loop needs no tail handling. 16 int8
-// lanes is one SSE register / half a NEON quad-pair — the natural quantum
-// for the planned bit-packed SIMD kernels.
+// lanes is one SSE register / one NEON quad — the lane block of every
+// src/simd/ kernel.
 inline constexpr std::int64_t kKTile = 16;
 
 // Output-pixel cache block: a GEMM task walks rows in blocks of this many
@@ -54,7 +53,7 @@ inline std::int64_t pad_k(std::int64_t k) {
   return (k + kKTile - 1) / kKTile * kKTile;
 }
 
-// One packed im2col operand (a single digit plane, or full codes).
+// One packed im2col operand (full codes, or floats).
 // data[(b * rows + r) * k_padded + p] is entry p of output pixel r of batch
 // element b; entries beyond `k` are zero.
 template <typename T>
@@ -97,32 +96,12 @@ struct PackedWeightsT {
 using PackedWeights = PackedWeightsT<std::int8_t>;
 using PackedWeightsF = PackedWeightsT<float>;
 
-// Digit-split operand pairs (ODQ). `high` and `low` share one geometry.
-struct PackedSplitIm2col {
-  PackedIm2col high;
-  PackedIm2col low;
-  int low_bits = 2;
-};
-
-struct PackedSplitWeights {
-  PackedWeights high;
-  PackedWeights low;
-  int low_bits = 2;
-};
-
 // --- Packers -------------------------------------------------------------
 
 // Full-code int8 activations [N,C,H,W] -> packed receptive-field rows.
 PackedIm2col pack_im2col_i8(const tensor::TensorI8& input, std::int64_t kh,
                             std::int64_t kw, std::int64_t stride,
                             std::int64_t pad);
-
-// Digit-split packer: one pass over the codes produces the HBS and LBS
-// planes (quant::high_part / low_part with `low_bits` low bits).
-PackedSplitIm2col pack_im2col_split(const tensor::TensorI8& input,
-                                    int low_bits, std::int64_t kh,
-                                    std::int64_t kw, std::int64_t stride,
-                                    std::int64_t pad);
 
 // Float activations (DRQ / static fake-quantized baselines / FP32).
 PackedIm2colF pack_im2col_f32(const tensor::Tensor& input, std::int64_t kh,
@@ -131,8 +110,6 @@ PackedIm2colF pack_im2col_f32(const tensor::Tensor& input, std::int64_t kh,
 
 // Filter panels from OIHW weights.
 PackedWeights pack_weights_i8(const tensor::TensorI8& weight);
-PackedSplitWeights pack_weights_split(const tensor::TensorI8& weight,
-                                      int low_bits);
 PackedWeightsF pack_weights_f32(const tensor::Tensor& weight);
 
 // --- Unpackers (round-trip validation) -----------------------------------
@@ -141,11 +118,5 @@ PackedWeightsF pack_weights_f32(const tensor::Tensor& weight);
 // (transposes the packed rows back, drops the depth padding).
 tensor::TensorI8 unpack_im2col_i8(const PackedIm2col& packed, std::int64_t c,
                                   std::int64_t kh, std::int64_t kw);
-
-// Recompose a digit-split pair back into full codes, same layout as
-// unpack_im2col_i8. Exact for any codes the split came from.
-tensor::TensorI8 unpack_im2col_split(const PackedSplitIm2col& packed,
-                                     std::int64_t c, std::int64_t kh,
-                                     std::int64_t kw);
 
 }  // namespace odq::gemm

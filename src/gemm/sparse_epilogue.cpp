@@ -37,19 +37,15 @@ std::vector<std::int64_t> valid_macs_per_row(const ConvShape& g,
 }
 
 SparseEpilogueStats sparse_result_generation(
-    const PackedSplitIm2col& cols, const PackedSplitWeights& wts,
+    const PackedIm2col& cols, const PackedWeights& wts,
     const ConvShape& geom, const tensor::TensorI32& predictor_acc, float scale,
     float threshold, tensor::TensorI32& acc, tensor::TensorU8& mask,
     std::vector<std::int64_t>& sensitive_per_channel, SensitiveLists& lists) {
-  const std::int64_t n = cols.high.batches;
-  const std::int64_t rows = cols.high.rows;
-  const std::int64_t kp = cols.high.k_padded;
-  const std::int64_t oc = wts.high.oc;
-  const int lb = cols.low_bits;
-  if (wts.low_bits != lb) {
-    throw std::invalid_argument("sparse_result_generation: low_bits mismatch");
-  }
-  if (cols.high.k != wts.high.k || cols.high.k_padded != wts.high.k_padded) {
+  const std::int64_t n = cols.batches;
+  const std::int64_t rows = cols.rows;
+  const std::int64_t kp = cols.k_padded;
+  const std::int64_t oc = wts.oc;
+  if (cols.k != wts.k || cols.k_padded != wts.k_padded) {
     throw std::invalid_argument("sparse_result_generation: depth mismatch");
   }
   if (kp > simd::kMaxDotDepth) {
@@ -73,7 +69,7 @@ SparseEpilogueStats sparse_result_generation(
   lists.lists.assign(static_cast<std::size_t>(n * oc), {});
 
   const std::vector<std::int64_t> row_macs =
-      valid_macs_per_row(geom, cols.high.oh, cols.high.ow);
+      valid_macs_per_row(geom, cols.oh, cols.ow);
 
   const std::int64_t tiles = n * oc;
   std::vector<std::int64_t> tile_macs(static_cast<std::size_t>(tiles), 0);
@@ -105,18 +101,13 @@ SparseEpilogueStats sparse_result_generation(
             if (sens) list.push_back(static_cast<std::int32_t>(r));
           }
 
-          // Pass 2: dense Eq. (3) dots over the compacted list only.
-          const std::int8_t* bh = wts.high.row(f);
-          const std::int8_t* bl = wts.low.row(f);
+          // Pass 2: full-code dots over the compacted list only — the
+          // predictor term plus the three Eq. (3) remainders in one kernel.
+          const std::int8_t* wrow = wts.row(f);
           std::int32_t* a = acc_base + t * rows;
           std::int64_t macs = 0;
           for (const std::int32_t r : list) {
-            const std::int8_t* ah = cols.high.row(b, r);
-            const std::int8_t* al = cols.low.row(b, r);
-            std::int32_t cross = 0;  // ah*bl + al*bh
-            std::int32_t low = 0;    // al*bl
-            kk.dot_i8_split(ah, al, bh, bl, kp, &cross, &low);
-            a[r] += (cross << lb) + low;
+            a[r] = kk.dot_i8(cols.row(b, r), wrow, kp);
             macs += row_macs[static_cast<std::size_t>(r)];
           }
           tile_macs[static_cast<std::size_t>(t)] = macs;

@@ -6,11 +6,17 @@
 //      and writes the bit mask,
 //   2. compacts the sensitive output-pixel indices into an ascending
 //      per-tile list (the executor PE's work queue), and
-//   3. runs the three remaining Eq. (3) partial products
-//      (I_HBS*W_LBS + I_LBS*W_HBS) << N_LBS + I_LBS*W_LBS
-//      as dense packed-row dot products over the compacted list only — no
-//      per-element branching inside the MAC loops; insensitive outputs are
-//      never touched.
+//   3. completes each listed output with the three remaining Eq. (3)
+//      partial products (I_HBS*W_LBS + I_LBS*W_HBS) << N_LBS + I_LBS*W_LBS
+//      — no per-element branching inside the MAC loops; insensitive outputs
+//      are never touched.
+//
+// Step 3 reads the same single packed code plane and filter panel as the
+// predictor. Every int8 code satisfies v == ((v >> L) << L) + (v & (2^L-1)),
+// and a dot product is linear, so predictor + (cross << L) + low is exactly
+// the full-code dot: a sensitive output's accumulator is simply
+// simd::Kernels::dot_i8 over its packed row, with no digit planes and no
+// recombination arithmetic.
 //
 // The packed rows include zero-padded taps (image border + depth padding);
 // integer zeros add nothing, so accumulators are bit-identical to the
@@ -64,13 +70,13 @@ struct SparseEpilogueStats {
 };
 
 // Fused mask + compaction + Eq. (3) result generation. `acc` must start as a
-// copy of `predictor_acc` (the remainders are added in place for sensitive
-// outputs); `mask` must be preshaped [N, OC, OH, OW];
+// copy of `predictor_acc` (sensitive outputs are overwritten in place with
+// their full-code dot); `mask` must be preshaped [N, OC, OH, OW];
 // `sensitive_per_channel` must be pre-sized to OC (zeroed). Parallel over
 // (batch, out-channel) tiles with per-tile counters — bit-exact and
 // count-exact at any pool size.
 SparseEpilogueStats sparse_result_generation(
-    const PackedSplitIm2col& cols, const PackedSplitWeights& wts,
+    const PackedIm2col& cols, const PackedWeights& wts,
     const ConvShape& geom, const tensor::TensorI32& predictor_acc, float scale,
     float threshold, tensor::TensorI32& acc, tensor::TensorU8& mask,
     std::vector<std::int64_t>& sensitive_per_channel, SensitiveLists& lists);

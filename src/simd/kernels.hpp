@@ -10,11 +10,14 @@
 //   * `kp` is the padded depth of a packed row (gemm/packed.hpp): a multiple
 //     of kKTile (16), so vector loops never handle a remainder and scalar
 //     unrolls never need a tail.
-//   * Operands are int8 digit planes or full int8 codes; products fit int16
-//     (|a*b| <= 128*128 = 2^14) and the int32 accumulators have headroom for
-//     any depth this library reaches (see kMaxDotBlocks below).
+//   * Operands are full int8 codes — one packed plane per operand, no digit
+//     planes. dot_i8_high extracts the high digit v >> shift in-register;
+//     products fit int16 (|a*b| <= 128*128 = 2^14) and the int32
+//     accumulators have headroom for any depth this library reaches (see
+//     kMaxDotBlocks below).
 //   * Padding lanes (entries in [k, kp)) are zero in at least one operand,
-//     so they contribute exact zeros — kernels multiply them unconditionally.
+//     so they contribute exact zeros — kernels multiply them unconditionally
+//     (0 >> shift is still 0).
 //
 // The kernels are reached through the per-backend tables in dispatch.hpp;
 // hot loops fetch the active table once per GEMM call, not per dot product.
@@ -52,21 +55,22 @@ using DotI8Fn = std::int32_t (*)(const std::int8_t* a, const std::int8_t* b,
 using DotI8Acc64Fn = std::int64_t (*)(const std::int8_t* a,
                                       const std::int8_t* b, std::int64_t kp);
 
-// The Eq. (3) epilogue pair over four digit planes:
-//   *cross = sum_p ah[p]*bl[p] + al[p]*bh[p]
-//   *low   = sum_p al[p]*bl[p]
-// (the caller folds the << low_bits into the cross term).
-using DotI8SplitFn = void (*)(const std::int8_t* ah, const std::int8_t* al,
-                              const std::int8_t* bh, const std::int8_t* bl,
-                              std::int64_t kp, std::int32_t* cross,
-                              std::int32_t* low);
+// The ODQ predictor dot over the high digits of full codes:
+//   sum_p (a[p] >> shift) * (b[p] >> shift)   (arithmetic shifts),
+// i.e. the I_HBS x W_HBS term of Eq. (3) with N_LBS = shift, read from the
+// same code plane the full-code dot reads. Contract: 1 <= shift <= 7 (a
+// shift of 0 is plain dot_i8). A shifted digit satisfies |a >> s| <= 64, so
+// every product stays below the int8 x int8 bound and kMaxDotDepth holds.
+using DotI8HighFn = std::int32_t (*)(const std::int8_t* a,
+                                     const std::int8_t* b, std::int64_t kp,
+                                     int shift);
 
 // One backend's kernel table.
 struct Kernels {
   const char* name;
   DotI8Fn dot_i8;
   DotI8Acc64Fn dot_i8_acc64;
-  DotI8SplitFn dot_i8_split;
+  DotI8HighFn dot_i8_high;
 };
 
 // The always-available scalar reference (kernels_scalar.cpp).

@@ -15,6 +15,10 @@
 //      edge of the maddubs-style tricks never applies,
 //   4. accumulate the int32 lanes (or widen each block's lanes to int64 for
 //      the acc64 kernel, which must stay exact past int32 headroom).
+// The predictor kernel (dot_i8_high) inserts one _mm256_sra_epi16 per
+// operand between steps 2 and 3: the arithmetic shift of the sign-extended
+// int16 lanes is exactly v >> shift, so the high digits come out of the
+// one full-code plane without a second packed copy.
 // Integer addition is associative, so the lane-parallel accumulation is
 // bit-identical to the scalar reference for every input.
 #include "simd/kernels.hpp"
@@ -76,31 +80,41 @@ std::int64_t dot_i8_acc64_avx2(const std::int8_t* a, const std::int8_t* b,
          _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
 }
 
-void dot_i8_split_avx2(const std::int8_t* ah, const std::int8_t* al,
-                       const std::int8_t* bh, const std::int8_t* bl,
-                       std::int64_t kp, std::int32_t* cross,
-                       std::int32_t* low) {
-  __m256i acc_cross = _mm256_setzero_si256();
-  __m256i acc_low = _mm256_setzero_si256();
-  for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
-    const __m256i vah = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ah + p)));
-    const __m256i val = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(al + p)));
-    const __m256i vbh = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bh + p)));
-    const __m256i vbl = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bl + p)));
-    acc_cross = _mm256_add_epi32(acc_cross, _mm256_madd_epi16(vah, vbl));
-    acc_cross = _mm256_add_epi32(acc_cross, _mm256_madd_epi16(val, vbh));
-    acc_low = _mm256_add_epi32(acc_low, _mm256_madd_epi16(val, vbl));
+// Predictor block: the same widen + madd with an arithmetic shift of the
+// int16 lanes in between, so the high digits never leave the register.
+inline __m256i madd_high_block(const std::int8_t* a, const std::int8_t* b,
+                               __m128i count) {
+  const __m256i a16 = _mm256_sra_epi16(
+      _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a))),
+      count);
+  const __m256i b16 = _mm256_sra_epi16(
+      _mm256_cvtepi8_epi16(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b))),
+      count);
+  return _mm256_madd_epi16(a16, b16);
+}
+
+std::int32_t dot_i8_high_avx2(const std::int8_t* a, const std::int8_t* b,
+                              std::int64_t kp, int shift) {
+  const __m128i count = _mm_cvtsi32_si128(shift);
+  __m256i acc0 = _mm256_setzero_si256();
+  __m256i acc1 = _mm256_setzero_si256();
+  std::int64_t p = 0;
+  for (; p + 2 * kKTileLanes <= kp; p += 2 * kKTileLanes) {
+    acc0 = _mm256_add_epi32(acc0, madd_high_block(a + p, b + p, count));
+    acc1 = _mm256_add_epi32(
+        acc1, madd_high_block(a + p + kKTileLanes, b + p + kKTileLanes,
+                              count));
   }
-  *cross = hsum_epi32(acc_cross);
-  *low = hsum_epi32(acc_low);
+  if (p < kp) {
+    acc0 = _mm256_add_epi32(acc0, madd_high_block(a + p, b + p, count));
+  }
+  return hsum_epi32(_mm256_add_epi32(acc0, acc1));
 }
 
 constexpr Kernels kAvx2Kernels = {"avx2", dot_i8_avx2, dot_i8_acc64_avx2,
-                                  dot_i8_split_avx2};
+                                  dot_i8_high_avx2};
 
 }  // namespace
 

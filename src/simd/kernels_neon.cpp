@@ -50,23 +50,32 @@ std::int64_t dot_i8_acc64_neon(const std::int8_t* a, const std::int8_t* b,
   return vaddvq_s64(acc);
 }
 
-void dot_i8_split_neon(const std::int8_t* ah, const std::int8_t* al,
-                       const std::int8_t* bh, const std::int8_t* bl,
-                       std::int64_t kp, std::int32_t* cross,
-                       std::int32_t* low) {
-  int32x4_t acc_cross = vdupq_n_s32(0);
-  int32x4_t acc_low = vdupq_n_s32(0);
+// Predictor dot: widen each operand to int16 (vmovl_s8), shift the lanes
+// right by `shift` (vshlq_s16 by a negative count is an arithmetic right
+// shift), then multiply-accumulate the int16 digits into 4 x int32 lanes
+// (vmlal_s16). Each block adds 4 products of |digit| <= 64 per lane, well
+// inside the kMaxDotBlocks budget.
+std::int32_t dot_i8_high_neon(const std::int8_t* a, const std::int8_t* b,
+                              std::int64_t kp, int shift) {
+  const int16x8_t neg = vdupq_n_s16(static_cast<std::int16_t>(-shift));
+  int32x4_t acc = vdupq_n_s32(0);
   for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
-    acc_cross = vaddq_s32(acc_cross, block_sums(ah + p, bl + p));
-    acc_cross = vaddq_s32(acc_cross, block_sums(al + p, bh + p));
-    acc_low = vaddq_s32(acc_low, block_sums(al + p, bl + p));
+    const int8x16_t va = vld1q_s8(a + p);
+    const int8x16_t vb = vld1q_s8(b + p);
+    const int16x8_t alo = vshlq_s16(vmovl_s8(vget_low_s8(va)), neg);
+    const int16x8_t ahi = vshlq_s16(vmovl_s8(vget_high_s8(va)), neg);
+    const int16x8_t blo = vshlq_s16(vmovl_s8(vget_low_s8(vb)), neg);
+    const int16x8_t bhi = vshlq_s16(vmovl_s8(vget_high_s8(vb)), neg);
+    acc = vmlal_s16(acc, vget_low_s16(alo), vget_low_s16(blo));
+    acc = vmlal_s16(acc, vget_high_s16(alo), vget_high_s16(blo));
+    acc = vmlal_s16(acc, vget_low_s16(ahi), vget_low_s16(bhi));
+    acc = vmlal_s16(acc, vget_high_s16(ahi), vget_high_s16(bhi));
   }
-  *cross = vaddvq_s32(acc_cross);
-  *low = vaddvq_s32(acc_low);
+  return vaddvq_s32(acc);
 }
 
 constexpr Kernels kNeonKernels = {"neon", dot_i8_neon, dot_i8_acc64_neon,
-                                  dot_i8_split_neon};
+                                  dot_i8_high_neon};
 
 }  // namespace
 

@@ -34,23 +34,20 @@ std::int64_t dot_i8_acc64_scalar(const std::int8_t* a, const std::int8_t* b,
   return (s0 + s1) + (s2 + s3);
 }
 
-void dot_i8_split_scalar(const std::int8_t* ah, const std::int8_t* al,
-                         const std::int8_t* bh, const std::int8_t* bl,
-                         std::int64_t kp, std::int32_t* cross,
-                         std::int32_t* low) {
-  std::int32_t c = 0, l = 0;
-  for (std::int64_t p = 0; p < kp; ++p) {
-    const std::int32_t x_h = ah[p];
-    const std::int32_t x_l = al[p];
-    c += x_h * bl[p] + x_l * bh[p];
-    l += x_l * bl[p];
+std::int32_t dot_i8_high_scalar(const std::int8_t* a, const std::int8_t* b,
+                                std::int64_t kp, int shift) {
+  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+  for (std::int64_t p = 0; p < kp; p += 4) {
+    s0 += (a[p] >> shift) * (b[p] >> shift);
+    s1 += (a[p + 1] >> shift) * (b[p + 1] >> shift);
+    s2 += (a[p + 2] >> shift) * (b[p + 2] >> shift);
+    s3 += (a[p + 3] >> shift) * (b[p + 3] >> shift);
   }
-  *cross = c;
-  *low = l;
+  return (s0 + s1) + (s2 + s3);
 }
 
 constexpr Kernels kScalarKernels = {"scalar", dot_i8_scalar,
-                                    dot_i8_acc64_scalar, dot_i8_split_scalar};
+                                    dot_i8_acc64_scalar, dot_i8_high_scalar};
 
 }  // namespace
 

@@ -83,30 +83,17 @@ TEST(OdqParallelGolden, MatchesSerialReferenceAcrossShapeMatrix) {
     QTensor w = quant::quantize_weights(
         random_weights(Shape{cc.oc, cc.c, cc.kh, cc.kw}, seed++), 4);
 
-    OdqConfig serial_cfg;
-    serial_cfg.threshold = cc.threshold;
-    serial_cfg.num_threads = 1;  // forces odq_conv_reference
-    OdqConfig parallel_cfg = serial_cfg;
-    parallel_cfg.num_threads = 0;  // tiled pipeline on the pool
+    OdqConfig cfg;
+    cfg.threshold = cc.threshold;
 
-    const OdqConvResult ref = odq_conv(in, w, cc.stride, cc.pad, serial_cfg);
-    const OdqConvResult par =
-        odq_conv(in, w, cc.stride, cc.pad, parallel_cfg);
+    const OdqConvResult ref =
+        odq_conv_reference(in, w, cc.stride, cc.pad, cfg);
+    const OdqConvResult par = odq_conv(in, w, cc.stride, cc.pad, cfg);
     SCOPED_TRACE("case n=" + std::to_string(cc.n) +
                  " stride=" + std::to_string(cc.stride) +
                  " pad=" + std::to_string(cc.pad));
     expect_bitwise_equal(ref, par);
   }
-}
-
-TEST(OdqParallelGolden, NumThreadsOneIsTheReferenceEntryPoint) {
-  QTensor in = quant::quantize_activations(random_acts(Shape{1, 3, 7, 7}, 7), 4);
-  QTensor w = quant::quantize_weights(random_weights(Shape{4, 3, 3, 3}, 8), 4);
-  OdqConfig cfg;
-  cfg.threshold = 0.1f;
-  cfg.num_threads = 1;
-  expect_bitwise_equal(odq_conv(in, w, 1, 1, cfg),
-                       odq_conv_reference(in, w, 1, 1, cfg));
 }
 
 // Paper Eq. (3): a*b == (ah*bh << 2L) + ((ah*bl + al*bh) << L) + al*bl.

@@ -4,11 +4,10 @@
 // Three properties, each over randomized geometries / thresholds /
 // precisions drawn from tests/common/proptest.hpp:
 //
-//   1. Parallel/serial equivalence: the tiled pool path (num_threads = 0)
-//      is bit-exact against the serial oracle (odq_conv_reference) on
-//      accumulators, predictor accumulators and masks — at 1- and 4-thread
-//      pool sizes (ODQ_THREADS is pinned to 4 below; num_threads = 1 is
-//      the serial path).
+//   1. Parallel/serial equivalence: the tiled pool path (odq_conv) is
+//      bit-exact against the serial oracle (odq_conv_reference) on
+//      accumulators, predictor accumulators and masks, on a 4-thread pool
+//      (ODQ_THREADS is pinned to 4 below).
 //   2. Eq. (3) recombination: sensitive outputs equal the oracle rebuilt
 //      from the four bit-split partial-product convolutions
 //      (hh << 2*lb) + ((hl + lh) << lb) + ll, which itself must equal the
@@ -76,9 +75,7 @@ TEST(OdqProperty, ParallelPathMatchesSerialReferenceBitExactly) {
     cfg.total_bits = prec.total_bits;
     cfg.low_bits = prec.low_bits;
 
-    cfg.num_threads = 0;  // tiled pipeline on the 4-thread global pool
     OdqConvResult par = odq_conv(q.input, q.weight, g.stride, g.pad, cfg);
-    cfg.num_threads = 1;  // serial reference
     OdqConvResult ser =
         odq_conv_reference(q.input, q.weight, g.stride, g.pad, cfg);
 

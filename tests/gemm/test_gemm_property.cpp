@@ -13,7 +13,6 @@
 #include "core/odq.hpp"
 #include "gemm/gemm.hpp"
 #include "gemm/packed.hpp"
-#include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/ops.hpp"
 
@@ -92,7 +91,7 @@ TEST(GemmDifferential, Int64AccumulatorAgreesWithInt32) {
     const TensorI32 i32 = gemm_conv_i8(cols, wts, 0);
     std::vector<std::int64_t> i64(
         static_cast<std::size_t>(cols.batches * wts.oc * cols.rows), 0);
-    gemm_conv_int<std::int64_t>(cols, wts, 0, i64.data());
+    gemm_conv_int<std::int64_t>(cols, wts, 0, 0, i64.data());
     SCOPED_TRACE(g.str());
     for (std::int64_t j = 0; j < i32.numel(); ++j) {
       ASSERT_EQ(static_cast<std::int64_t>(i32[j]),
@@ -160,10 +159,8 @@ TEST(GemmDifferential, OdqPackedPipelineMatchesDirectReference) {
     cfg.low_bits = p.low_bits;
     cfg.threshold = testprop::random_threshold(c.rng());
 
-    core::OdqConfig serial = cfg;
-    serial.num_threads = 1;  // direct-conv reference oracle
     const core::OdqConvResult ref =
-        core::odq_conv(qc.input, qc.weight, g.stride, g.pad, serial);
+        core::odq_conv_reference(qc.input, qc.weight, g.stride, g.pad, cfg);
     const core::OdqConvResult par =
         core::odq_conv(qc.input, qc.weight, g.stride, g.pad, cfg);
     SCOPED_TRACE(g.str() + " thr=" + std::to_string(cfg.threshold));
@@ -234,35 +231,6 @@ TEST(GemmRoundTrip, PackedIm2colUnpacksToReferenceIm2col) {
   }
 }
 
-TEST(GemmRoundTrip, DigitSplitPackRecomposesToFullCodes) {
-  for (int i = 0; i < 25; ++i) {
-    ODQ_PROP_CASE(c, i + 7000);
-    const ConvGeom g = testprop::random_conv_geom(c.rng());
-    const testprop::Precision p = testprop::random_precision(c.rng());
-    const testprop::QuantConvCase qc =
-        testprop::random_quant_conv(c.rng(), g, p.total_bits);
-
-    const TensorI8 oracle =
-        quant::im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const PackedSplitIm2col split =
-        pack_im2col_split(qc.input.q, p.low_bits, g.k, g.k, g.stride, g.pad);
-    const TensorI8 recomposed =
-        unpack_im2col_split(split, g.c, g.k, g.k);
-    SCOPED_TRACE(g.str() + " lb=" + std::to_string(p.low_bits));
-    for (std::int64_t j = 0; j < oracle.numel(); ++j) {
-      ASSERT_EQ(recomposed[j], oracle[j]) << "recomposed code diverges at "
-                                          << j;
-    }
-    // The digit planes themselves must be high_part/low_part of the codes.
-    const TensorI8 hi = unpack_im2col_i8(split.high, g.c, g.k, g.k);
-    const TensorI8 lo = unpack_im2col_i8(split.low, g.c, g.k, g.k);
-    for (std::int64_t j = 0; j < oracle.numel(); ++j) {
-      ASSERT_EQ(hi[j], quant::high_part(oracle[j], p.low_bits));
-      ASSERT_EQ(lo[j], quant::low_part(oracle[j], p.low_bits));
-    }
-  }
-}
-
 TEST(GemmRoundTrip, WeightPanelRoundTrips) {
   for (int i = 0; i < 10; ++i) {
     ODQ_PROP_CASE(c, i + 8000);
@@ -272,25 +240,15 @@ TEST(GemmRoundTrip, WeightPanelRoundTrips) {
         testprop::random_quant_conv(c.rng(), g, p.total_bits);
 
     const PackedWeights wts = pack_weights_i8(qc.weight.q);
-    const PackedSplitWeights split = pack_weights_split(qc.weight.q,
-                                                        p.low_bits);
     ASSERT_EQ(wts.oc, g.oc);
     ASSERT_EQ(wts.k, g.c * g.k * g.k);
     for (std::int64_t f = 0; f < wts.oc; ++f) {
       const std::int8_t* row = wts.row(f);
-      const std::int8_t* hi = split.high.row(f);
-      const std::int8_t* lo = split.low.row(f);
       for (std::int64_t pcol = 0; pcol < wts.k; ++pcol) {
-        const std::int8_t v = qc.weight.q[f * wts.k + pcol];
-        ASSERT_EQ(row[pcol], v);
-        ASSERT_EQ(hi[pcol], quant::high_part(v, p.low_bits));
-        ASSERT_EQ(lo[pcol], quant::low_part(v, p.low_bits));
-        ASSERT_EQ(quant::recompose(hi[pcol], lo[pcol], p.low_bits), v);
+        ASSERT_EQ(row[pcol], qc.weight.q[f * wts.k + pcol]);
       }
       for (std::int64_t pcol = wts.k; pcol < wts.k_padded; ++pcol) {
         ASSERT_EQ(row[pcol], 0);
-        ASSERT_EQ(hi[pcol], 0);
-        ASSERT_EQ(lo[pcol], 0);
       }
     }
   }

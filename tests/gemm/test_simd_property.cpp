@@ -95,7 +95,9 @@ TEST(SimdProperty, OdqPipelineBitwiseEqualAcrossBackends) {
   }
 }
 
-// Bare packed INT-GEMM (the predictor kernel) across backends. 60 cases.
+// Bare packed INT-GEMM across backends, both as the full-code dot and as
+// the digit-shifted ODQ predictor (dot_i8_high at every shift 1..7). 60
+// cases.
 TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
   const std::vector<Backend> vecs = vector_backends();
   for (int i = 0; i < 60; ++i) {
@@ -108,17 +110,19 @@ TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
         gemm::pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
     const gemm::PackedWeights wts = gemm::pack_weights_i8(qc.weight.q);
     const int shift = c.rng().uniform_int(0, 6);
-    SCOPED_TRACE(g.str() + " shift=" + std::to_string(shift));
-
-    const TensorI32 ref = with_backend(Backend::kScalar, [&] {
-      return gemm::gemm_conv_i8(cols, wts, shift);
-    });
-    for (const Backend b : vecs) {
-      const TensorI32 got = with_backend(b, [&] {
-        return gemm::gemm_conv_i8(cols, wts, shift);
+    for (const int digit_shift : {0, 1 + i % 7}) {
+      SCOPED_TRACE(g.str() + " shift=" + std::to_string(shift) +
+                   " digit_shift=" + std::to_string(digit_shift));
+      const TensorI32 ref = with_backend(Backend::kScalar, [&] {
+        return gemm::gemm_conv_i8(cols, wts, shift, digit_shift);
       });
-      SCOPED_TRACE(backend_name(b));
-      ASSERT_EQ(ref.vec(), got.vec());
+      for (const Backend b : vecs) {
+        const TensorI32 got = with_backend(b, [&] {
+          return gemm::gemm_conv_i8(cols, wts, shift, digit_shift);
+        });
+        SCOPED_TRACE(backend_name(b));
+        ASSERT_EQ(ref.vec(), got.vec());
+      }
     }
   }
 }
@@ -142,13 +146,13 @@ TEST(SimdProperty, Int64AccumulatorBitwiseEqualAcrossBackends) {
 
     std::vector<std::int64_t> ref(n, 0);
     with_backend(Backend::kScalar, [&] {
-      gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, ref.data());
+      gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, 0, ref.data());
       return 0;
     });
     for (const Backend b : vecs) {
       std::vector<std::int64_t> got(n, 0);
       with_backend(b, [&] {
-        gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, got.data());
+        gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, 0, got.data());
         return 0;
       });
       SCOPED_TRACE(backend_name(b));

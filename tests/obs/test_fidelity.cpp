@@ -15,6 +15,7 @@
 #include "tensor/tensor.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace odq {
 namespace {
@@ -197,19 +198,22 @@ TEST_F(FidelityTest, SnapshotIdenticalAcrossThreadCounts) {
     bias[i] = rng.normal_f(0, 0.1f);
   }
 
-  auto run_with_threads = [&](int num_threads) {
+  auto run_convs = [&] {
     obs::fidelity_reset();
     core::OdqConfig cfg;
     cfg.threshold = 0.15f;
-    cfg.num_threads = num_threads;
     core::OdqConvExecutor exec(cfg);
     exec.run(input, weight, bias, /*stride=*/1, /*pad=*/1, /*conv_id=*/0);
     exec.run(input, weight, bias, /*stride=*/2, /*pad=*/0, /*conv_id=*/1);
     return obs::fidelity_snapshot();
   };
 
-  const auto serial = run_with_threads(1);
-  const auto pooled = run_with_threads(0);  // global 4-worker pool
+  // Serial side: the same packed pipeline run as one task on a pool worker,
+  // where nested parallel_for calls run inline — one thread, not four.
+  std::vector<obs::FidelityLayerSnapshot> serial;
+  util::ThreadPool::global().submit([&] { serial = run_convs(); });
+  util::ThreadPool::global().wait_idle();
+  const auto pooled = run_convs();  // global 4-worker pool
 
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -7,9 +7,10 @@
 //   * lane boundaries — every logical depth K in [1, 2*kKTile+1], i.e.
 //     every possible residue against the 16-lane block, padded exactly the
 //     way gemm/packed.hpp pads,
-//   * saturating digit values at both signs — ±127/-128 full-code extremes
-//     and max-magnitude digit planes, the inputs a maddubs-style saturation
-//     or sign-extension mistake would corrupt,
+//   * saturating code values at both signs — ±127/-128 full-code extremes,
+//     also through the in-register digit shift of dot_i8_high at every
+//     shift 1..7 — the inputs a maddubs-style saturation, sign-extension or
+//     logical-vs-arithmetic shift mistake would corrupt,
 //   * tile straddles — out-channel counts around kOcTile and row counts
 //     around kRowTile through the full gemm_conv_int tiling,
 //   * zero-length and full-length compacted sensitive lists through
@@ -50,17 +51,35 @@ std::int64_t oracle_dot(const std::int8_t* a, const std::int8_t* b,
   return s;
 }
 
-void oracle_split(const std::int8_t* ah, const std::int8_t* al,
-                  const std::int8_t* bh, const std::int8_t* bl,
-                  std::int64_t kp, std::int64_t* cross, std::int64_t* low) {
-  std::int64_t c = 0, l = 0;
+std::int64_t oracle_dot_high(const std::int8_t* a, const std::int8_t* b,
+                             std::int64_t kp, int shift) {
+  // Floor division by 2^shift is the arithmetic right shift the kernels
+  // implement, spelled as a division so the oracle shares nothing with them.
+  const std::int64_t d = std::int64_t{1} << shift;
+  auto floor_div = [d](std::int64_t v) {
+    return v >= 0 ? v / d : -((-v + d - 1) / d);
+  };
+  std::int64_t s = 0;
   for (std::int64_t p = 0; p < kp; ++p) {
-    c += static_cast<std::int64_t>(ah[p]) * bl[p] +
-         static_cast<std::int64_t>(al[p]) * bh[p];
-    l += static_cast<std::int64_t>(al[p]) * bl[p];
+    s += floor_div(a[p]) * floor_div(b[p]);
   }
-  *cross = c;
-  *low = l;
+  return s;
+}
+
+// Hostile fills: full-code saturating extremes at both signs, an
+// alternating-sign pattern, and a ramp through the whole int8 range.
+using FillFn = std::int8_t (*)(std::int64_t);
+const std::vector<std::pair<const char*, FillFn>>& hostile_fills() {
+  static const std::vector<std::pair<const char*, FillFn>> fills = {
+      {"max+", [](std::int64_t) -> std::int8_t { return 127; }},
+      {"max-", [](std::int64_t) -> std::int8_t { return -128; }},
+      {"alt", [](std::int64_t p) -> std::int8_t {
+         return p % 2 == 0 ? std::int8_t{127} : std::int8_t{-128};
+       }},
+      {"ramp", [](std::int64_t p) -> std::int8_t {
+         return static_cast<std::int8_t>((p * 37) % 255 - 127);
+       }}};
+  return fills;
 }
 
 // A depth-K operand padded to pad_k(K) with zeros, valid entries from `fill`.
@@ -99,25 +118,14 @@ TEST_P(SimdKernels, ActiveTableMatchesForcedBackend) {
   EXPECT_STREQ(active_kernels().name, backend_name(GetParam()));
 }
 
-// Every depth residue against the 16-lane block, against hostile fills:
-// full-code saturating extremes at both signs, alternating-sign patterns,
+// Every depth residue against the 16-lane block, against the hostile fills
 // and seeded random codes.
 TEST_P(SimdKernels, DotMatchesOracleAcrossLaneBoundaryDepths) {
   const Kernels& kk = active_kernels();
   util::Rng rng(7);
-  const auto fills = std::vector<std::pair<const char*, std::int8_t (*)(
-                                                            std::int64_t)>>{
-      {"max+", [](std::int64_t) -> std::int8_t { return 127; }},
-      {"max-", [](std::int64_t) -> std::int8_t { return -128; }},
-      {"alt", [](std::int64_t p) -> std::int8_t {
-         return p % 2 == 0 ? std::int8_t{127} : std::int8_t{-128};
-       }},
-      {"ramp", [](std::int64_t p) -> std::int8_t {
-         return static_cast<std::int8_t>((p * 37) % 255 - 127);
-       }}};
   for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
-    for (const auto& [aname, afill] : fills) {
-      for (const auto& [bname, bfill] : fills) {
+    for (const auto& [aname, afill] : hostile_fills()) {
+      for (const auto& [bname, bfill] : hostile_fills()) {
         const auto a = padded_operand(k, afill);
         const auto b = padded_operand(k, bfill);
         const std::int64_t kp = pad_k(k);
@@ -148,37 +156,38 @@ TEST_P(SimdKernels, DotMatchesOracleAcrossLaneBoundaryDepths) {
   }
 }
 
-// The Eq. (3) epilogue pair over digit planes: max-magnitude digits at both
-// signs (the widest spread any (total_bits, low_bits) combo produces) plus
-// random digit values, across every lane-boundary depth.
-TEST_P(SimdKernels, SplitDotMatchesOracleAcrossLaneBoundaryDepths) {
+// The predictor kernel over full codes: every shift in the 1..7 contract,
+// every lane-boundary depth, saturating fills at both signs (-128 is the
+// one code whose digit reaches -64) plus seeded random codes.
+TEST_P(SimdKernels, HighDigitDotMatchesOracle) {
   const Kernels& kk = active_kernels();
   util::Rng rng(11);
-  for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
-    const std::int64_t kp = pad_k(k);
-    for (int rep = 0; rep < 8; ++rep) {
-      // Digit ranges for low_bits = 3 on 8-bit codes — the widest this
-      // library produces: high in [-16, 15], low in [0, 7]. rep 0 pins all
-      // four planes to their extreme corners.
-      auto digit = [&](int lo, int hi) {
-        return padded_operand(k, [&, lo, hi](std::int64_t p) {
-          if (rep == 0) return static_cast<std::int8_t>(p % 2 == 0 ? hi : lo);
-          return static_cast<std::int8_t>(rng.uniform_int(lo, hi));
+  for (int shift = 1; shift <= 7; ++shift) {
+    for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
+      const std::int64_t kp = pad_k(k);
+      for (const auto& [aname, afill] : hostile_fills()) {
+        for (const auto& [bname, bfill] : hostile_fills()) {
+          const auto a = padded_operand(k, afill);
+          const auto b = padded_operand(k, bfill);
+          SCOPED_TRACE("shift=" + std::to_string(shift) + " K=" +
+                       std::to_string(k) + " a=" + aname + " b=" + bname);
+          ASSERT_EQ(kk.dot_i8_high(a.data(), b.data(), kp, shift),
+                    oracle_dot_high(a.data(), b.data(), kp, shift));
+        }
+      }
+      for (int rep = 0; rep < 4; ++rep) {
+        const auto a = padded_operand(k, [&](std::int64_t) {
+          return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
         });
-      };
-      const auto ah = digit(0, 31);    // unsigned activation high digits
-      const auto al = digit(0, 7);
-      const auto bh = digit(-16, 15);  // signed weight high digits
-      const auto bl = digit(0, 7);
-      std::int64_t want_cross = 0, want_low = 0;
-      oracle_split(ah.data(), al.data(), bh.data(), bl.data(), kp,
-                   &want_cross, &want_low);
-      std::int32_t cross = 0, low = 0;
-      kk.dot_i8_split(ah.data(), al.data(), bh.data(), bl.data(), kp, &cross,
-                      &low);
-      SCOPED_TRACE("K=" + std::to_string(k) + " rep " + std::to_string(rep));
-      ASSERT_EQ(cross, static_cast<std::int32_t>(want_cross));
-      ASSERT_EQ(low, static_cast<std::int32_t>(want_low));
+        const auto b = padded_operand(k, [&](std::int64_t) {
+          return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        });
+        SCOPED_TRACE("shift=" + std::to_string(shift) + " K=" +
+                     std::to_string(k) + " random rep " +
+                     std::to_string(rep));
+        ASSERT_EQ(kk.dot_i8_high(a.data(), b.data(), kp, shift),
+                  oracle_dot_high(a.data(), b.data(), kp, shift));
+      }
     }
   }
 }
@@ -237,7 +246,7 @@ TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
       const TensorI32 got = gemm::gemm_conv_i8(cols, wts, shift);
       std::vector<std::int64_t> got64(
           static_cast<std::size_t>(cols.batches * oc * rows), 0);
-      gemm::gemm_conv_int<std::int64_t>(cols, wts, shift, got64.data());
+      gemm::gemm_conv_int<std::int64_t>(cols, wts, shift, 0, got64.data());
 
       SCOPED_TRACE("rows=" + std::to_string(rows) + " oc=" +
                    std::to_string(oc));
@@ -275,9 +284,8 @@ TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
   for (const float threshold : {0.0f, 0.15f, 1e30f}) {
     core::OdqConfig cfg;
     cfg.threshold = threshold;
-    core::OdqConfig serial = cfg;
-    serial.num_threads = 1;  // direct-conv reference path
-    const core::OdqConvResult ref = core::odq_conv(qin, qw, 1, 1, serial);
+    const core::OdqConvResult ref =
+        core::odq_conv_reference(qin, qw, 1, 1, cfg);
     const core::OdqConvResult got = core::odq_conv(qin, qw, 1, 1, cfg);
     SCOPED_TRACE("threshold=" + std::to_string(threshold));
     if (threshold == 0.0f) {

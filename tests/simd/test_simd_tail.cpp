@@ -5,7 +5,8 @@
 // deliberately breaks the "both operands zero-padded" redundancy — it
 // overwrites the pad lanes [k, k_padded) of ONE operand with non-zero
 // garbage while the other operand's pads stay zero — and asserts both the
-// predictor GEMM and the Eq. (3) sparse epilogue still produce bit-identical
+// digit-shifted predictor GEMM and the full-code Eq. (3) sparse epilogue,
+// which read the same single packed plane, still produce bit-identical
 // accumulators, masks, compacted lists, and MAC counters, per backend. A
 // kernel that read past k_padded, mis-stepped blocks, or depended on both
 // pads being zero would fail here.
@@ -40,15 +41,17 @@ struct PipelineOut {
   gemm::SparseEpilogueStats stats;
 };
 
-PipelineOut run_packed(const gemm::PackedSplitIm2col& cols,
-                       const gemm::PackedSplitWeights& wts,
+constexpr int kLowBits = 2;
+
+PipelineOut run_packed(const gemm::PackedIm2col& cols,
+                       const gemm::PackedWeights& wts,
                        const gemm::ConvShape& geom, float scale,
                        float threshold) {
   PipelineOut o;
-  o.pred = gemm::gemm_conv_i8(cols.high, wts.high, 2 * cols.low_bits);
+  o.pred = gemm::gemm_conv_i8(cols, wts, 2 * kLowBits, kLowBits);
   o.acc = o.pred;
   o.mask = TensorU8(o.pred.shape());
-  o.per_channel.assign(static_cast<std::size_t>(wts.high.oc), 0);
+  o.per_channel.assign(static_cast<std::size_t>(wts.oc), 0);
   o.stats = gemm::sparse_result_generation(cols, wts, geom, o.pred, scale,
                                            threshold, o.acc, o.mask,
                                            o.per_channel, o.lists);
@@ -65,28 +68,25 @@ void expect_identical(const PipelineOut& clean, const PipelineOut& dirty) {
   ASSERT_EQ(clean.stats.executor_macs, dirty.stats.executor_macs);
 }
 
-// Overwrite the depth-pad lanes [k, k_padded) of both digit planes of a
-// packed im2col operand with non-zero garbage.
-void poison_cols(gemm::PackedSplitIm2col& cols) {
-  for (std::int64_t b = 0; b < cols.high.batches; ++b) {
-    for (std::int64_t r = 0; r < cols.high.rows; ++r) {
-      std::int8_t* h = cols.high.row(b, r);
-      std::int8_t* l = cols.low.row(b, r);
-      for (std::int64_t p = cols.high.k; p < cols.high.k_padded; ++p) {
-        h[p] = static_cast<std::int8_t>(0x5A);
-        l[p] = static_cast<std::int8_t>(-77);
+// Overwrite the depth-pad lanes [k, k_padded) of the packed code plane
+// with non-zero garbage: values whose high digits are non-zero too, so the
+// predictor's in-register shift cannot hide them.
+void poison_cols(gemm::PackedIm2col& cols) {
+  for (std::int64_t b = 0; b < cols.batches; ++b) {
+    for (std::int64_t r = 0; r < cols.rows; ++r) {
+      std::int8_t* row = cols.row(b, r);
+      for (std::int64_t p = cols.k; p < cols.k_padded; ++p) {
+        row[p] = static_cast<std::int8_t>(p % 2 == 0 ? 0x5A : -77);
       }
     }
   }
 }
 
-void poison_weights(gemm::PackedSplitWeights& wts) {
-  for (std::int64_t f = 0; f < wts.high.oc; ++f) {
-    std::int8_t* h = wts.high.row(f);
-    std::int8_t* l = wts.low.row(f);
-    for (std::int64_t p = wts.high.k; p < wts.high.k_padded; ++p) {
-      h[p] = static_cast<std::int8_t>(-128);
-      l[p] = static_cast<std::int8_t>(127);
+void poison_weights(gemm::PackedWeights& wts) {
+  for (std::int64_t f = 0; f < wts.oc; ++f) {
+    std::int8_t* row = wts.row(f);
+    for (std::int64_t p = wts.k; p < wts.k_padded; ++p) {
+      row[p] = static_cast<std::int8_t>(p % 2 == 0 ? -128 : 127);
     }
   }
 }
@@ -121,13 +121,12 @@ TEST_P(SimdTailGuard, GarbageBeyondValidDepthIsIgnoredIdentically) {
   for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.3f);
   const quant::QTensor qin = quant::quantize_activations(x, 4);
   const quant::QTensor qw = quant::quantize_weights(w, 4);
-  const int lb = 2;
 
-  const gemm::PackedSplitIm2col cols =
-      gemm::pack_im2col_split(qin.q, lb, 3, 3, /*stride=*/1, /*pad=*/1);
-  const gemm::PackedSplitWeights wts = gemm::pack_weights_split(qw.q, lb);
-  ASSERT_EQ(cols.high.k, 27);
-  ASSERT_EQ(cols.high.k_padded, 32) << "no garbage region to exercise";
+  const gemm::PackedIm2col cols =
+      gemm::pack_im2col_i8(qin.q, 3, 3, /*stride=*/1, /*pad=*/1);
+  const gemm::PackedWeights wts = gemm::pack_weights_i8(qw.q);
+  ASSERT_EQ(cols.k, 27);
+  ASSERT_EQ(cols.k_padded, 32) << "no garbage region to exercise";
 
   const gemm::ConvShape geom{3, 6, 6, 3, 3, 1, 1};
   const float scale = qin.scale * qw.scale;
@@ -155,14 +154,14 @@ TEST_P(SimdTailGuard, GarbageBeyondValidDepthIsIgnoredIdentically) {
 
     // Case 1: garbage in the activation pads, weight pads still zero.
     {
-      gemm::PackedSplitIm2col dirty_cols = cols;
+      gemm::PackedIm2col dirty_cols = cols;
       poison_cols(dirty_cols);
       expect_identical(clean, run_packed(dirty_cols, wts, geom, scale,
                                          threshold));
     }
     // Case 2: garbage in the weight pads, activation pads still zero.
     {
-      gemm::PackedSplitWeights dirty_wts = wts;
+      gemm::PackedWeights dirty_wts = wts;
       poison_weights(dirty_wts);
       expect_identical(clean, run_packed(cols, dirty_wts, geom, scale,
                                          threshold));
@@ -171,16 +170,18 @@ TEST_P(SimdTailGuard, GarbageBeyondValidDepthIsIgnoredIdentically) {
 
   // The int64-accumulator GEMM instantiation obeys the same contract.
   {
-    gemm::PackedSplitIm2col dirty_cols = cols;
+    gemm::PackedIm2col dirty_cols = cols;
     poison_cols(dirty_cols);
-    const std::size_t n = static_cast<std::size_t>(
-        cols.high.batches * wts.high.oc * cols.high.rows);
-    std::vector<std::int64_t> clean64(n, 0), dirty64(n, 0);
-    gemm::gemm_conv_int<std::int64_t>(cols.high, wts.high, 2 * lb,
-                                      clean64.data());
-    gemm::gemm_conv_int<std::int64_t>(dirty_cols.high, wts.high, 2 * lb,
-                                      dirty64.data());
-    ASSERT_EQ(clean64, dirty64);
+    const std::size_t n =
+        static_cast<std::size_t>(cols.batches * wts.oc * cols.rows);
+    for (const int digit_shift : {0, kLowBits}) {
+      std::vector<std::int64_t> clean64(n, 0), dirty64(n, 0);
+      gemm::gemm_conv_int<std::int64_t>(cols, wts, 2 * digit_shift,
+                                        digit_shift, clean64.data());
+      gemm::gemm_conv_int<std::int64_t>(dirty_cols, wts, 2 * digit_shift,
+                                        digit_shift, dirty64.data());
+      ASSERT_EQ(clean64, dirty64) << "digit_shift=" << digit_shift;
+    }
   }
 }
 

@@ -239,7 +239,7 @@ int tool_main(int argc, char** argv) {
       w.kv("predictor_macs", stats.predictor_macs);
       w.kv("executor_macs", stats.executor_macs);
       // Phase breakdown of the packed-GEMM pipeline (core/odq.cpp):
-      // operand packing + digit split, predictor INT-GEMM, mask-aware
+      // packing of the one int8 code plane, predictor INT-GEMM, mask-aware
       // sparse result generation. Sums to less than wall_seconds; the
       // remainder is quantize/dequantize and executor overhead.
       w.kv("pack_seconds", stats.pack_seconds);
