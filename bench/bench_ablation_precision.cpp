@@ -21,9 +21,7 @@ int main() {
   auto convs = model.assign_conv_ids();
   nn::Conv2d* conv = convs[convs.size() / 2];
 
-  // Cache its input with one forward.
-  auto exec = std::make_shared<drq::DrqConvExecutor>(bench::default_drq_config());
-  model.set_conv_executor(exec);
+  // Capture its input with one forward.
   const auto& data = bench::dataset(10);
   const std::int64_t chw = data.test.images.shape()[1] *
                            data.test.images.shape()[2] *
@@ -33,9 +31,10 @@ int main() {
                     data.test.images.shape()[2], data.test.images.shape()[3]},
       std::vector<float>(data.test.images.data(),
                          data.test.images.data() + 2 * chw));
-  (void)model.forward(batch, false);
-  model.set_conv_executor(nullptr);
-  const tensor::Tensor& x = conv->cached_input();
+  const std::vector<tensor::Tensor> inputs =
+      nn::conv_inputs(model, batch, std::make_shared<drq::DrqConvExecutor>(
+                                        bench::default_drq_config()));
+  const tensor::Tensor& x = inputs[static_cast<std::size_t>(conv->conv_id())];
   const tensor::Tensor& w = conv->weight().value;
 
   std::printf("layer: %s (%lldx%lldx%lld kernel over %lld channels)\n\n",

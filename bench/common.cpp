@@ -190,9 +190,6 @@ std::vector<drq::LayerAnalysis> analyze_model_layers(
   nn::Model model = trained_model(model_name, variant);
   std::vector<nn::Conv2d*> convs = model.assign_conv_ids();
 
-  // One forward with a (stat-free) DRQ executor caches every conv input.
-  auto exec = std::make_shared<drq::DrqConvExecutor>(default_drq_config());
-  model.set_conv_executor(exec);
   const data::TrainTest& data = dataset(variant);
   const std::int64_t n = std::min<std::int64_t>(2, data.test.size());
   const std::int64_t chw = data.test.images.shape()[1] *
@@ -203,22 +200,24 @@ std::vector<drq::LayerAnalysis> analyze_model_layers(
                     data.test.images.shape()[2], data.test.images.shape()[3]},
       std::vector<float>(data.test.images.data(),
                          data.test.images.data() + n * chw));
-  (void)model.forward(batch, false);
-  model.set_conv_executor(nullptr);
+  // One forward under a (stat-free) DRQ executor captures every conv input.
+  const std::vector<tensor::Tensor> inputs =
+      nn::conv_inputs(model, batch, std::make_shared<drq::DrqConvExecutor>(
+                                        default_drq_config()));
 
   std::vector<drq::LayerAnalysis> out;
   out.reserve(convs.size());
   for (nn::Conv2d* conv : convs) {
+    const tensor::Tensor& x =
+        inputs[static_cast<std::size_t>(conv->conv_id())];
     drq::DrqConfig cfg = drq_cfg;
     if (cfg.input_threshold < 0.0f) {
-      cfg.input_threshold =
-          drq::calibrate_input_threshold(conv->cached_input(), cfg, 0.5);
+      cfg.input_threshold = drq::calibrate_input_threshold(x, cfg, 0.5);
     }
     const tensor::Tensor empty_bias;
     const tensor::Tensor& bias =
         conv->bias() != nullptr ? conv->bias()->value : empty_bias;
-    out.push_back(drq::analyze_layer(conv->cached_input(),
-                                     conv->weight().value, bias,
+    out.push_back(drq::analyze_layer(x, conv->weight().value, bias,
                                      conv->stride(), conv->pad(), cfg,
                                      output_threshold));
   }

@@ -19,11 +19,10 @@ std::vector<ConvWorkload> extract_workloads(nn::Model& model,
   model.set_conv_executor(odq_exec);
   (void)model.forward(sample, /*train=*/false);
 
-  // Pass 2: DRQ executor collects input-sensitivity fractions.
+  // Pass 2: DRQ executor collects input-sensitivity fractions; the conv
+  // inputs it sees give each layer's geometry. Leaves the model on FP32.
   auto drq_exec = std::make_shared<drq::DrqConvExecutor>(drq_cfg);
-  model.set_conv_executor(drq_exec);
-  (void)model.forward(sample, /*train=*/false);
-  model.set_conv_executor(nullptr);
+  const std::vector<Tensor> inputs = nn::conv_inputs(model, sample, drq_exec);
 
   const std::int64_t batch = sample.shape()[0];
   std::vector<ConvWorkload> out;
@@ -34,8 +33,7 @@ std::vector<ConvWorkload> extract_workloads(nn::Model& model,
     wl.name = conv->name();
     wl.out_channels = conv->out_channels();
 
-    // Geometry from the cached input of the DRQ pass.
-    const Tensor& input = conv->cached_input();
+    const Tensor& input = inputs[static_cast<std::size_t>(id)];
     const std::int64_t ih = input.shape()[2], iw = input.shape()[3];
     const std::int64_t oh =
         tensor::conv_out_dim(ih, conv->kernel(), conv->stride(), conv->pad());

@@ -67,7 +67,8 @@ class DenseBlock : public Layer {
     std::unique_ptr<Conv2d> conv;
   };
   std::vector<Inner> layers_;
-  // Concatenated inputs seen by each inner layer during the last forward.
+  // Concatenated inputs seen by each inner layer during the last train-mode
+  // forward.
   std::vector<tensor::Tensor> cached_concat_;
 };
 

@@ -45,10 +45,6 @@ class Conv2d : public Layer {
   }
   ConvExecutor* executor() const { return executor_.get(); }
 
-  // The most recent input (needed by instrumentation harnesses). Valid after
-  // a forward with train=true.
-  const tensor::Tensor& cached_input() const { return cached_input_; }
-
   // MACs per forward for a given input spatial size (used by the accelerator
   // workload extraction).
   std::int64_t macs_for(std::int64_t in_h, std::int64_t in_w) const;
@@ -65,7 +61,8 @@ class Conv2d : public Layer {
 
   std::shared_ptr<ConvExecutor> executor_;
 
-  // Backward caches.
+  // Backward caches, written only by train-mode forwards: an eval forward
+  // writes no member, so concurrent eval forwards may share one layer.
   tensor::Tensor cached_input_;
   tensor::Tensor cached_cols_;  // im2col of cached_input_
   bool have_cols_ = false;

@@ -57,7 +57,8 @@ class Layer {
   virtual ~Layer() = default;
 
   // `train` selects batch statistics (BatchNorm) and enables caching for
-  // backward. Evaluation passes may skip caches where indicated.
+  // backward. An eval forward (train == false) writes no member, so
+  // concurrent eval forwards may share one layer.
   virtual tensor::Tensor forward(const tensor::Tensor& x, bool train) = 0;
 
   // Consumes d(loss)/d(output), returns d(loss)/d(input), accumulating

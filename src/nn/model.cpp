@@ -477,4 +477,41 @@ double evaluate_accuracy(Model& model, const Tensor& images,
   return static_cast<double>(correct) / static_cast<double>(n);
 }
 
+namespace {
+
+// Records each conv's input by id, then delegates to the wrapped executor.
+class InputCapture : public ConvExecutor {
+ public:
+  InputCapture(std::shared_ptr<ConvExecutor> inner, std::size_t num_convs)
+      : inputs(num_convs), inner_(std::move(inner)) {}
+
+  Tensor run(const Tensor& input, const Tensor& weight, const Tensor& bias,
+             std::int64_t stride, std::int64_t pad, int conv_id) override {
+    inputs.at(static_cast<std::size_t>(conv_id)) = input;
+    return inner_->run(input, weight, bias, stride, pad, conv_id);
+  }
+
+  std::string name() const override { return inner_->name(); }
+
+  std::vector<Tensor> inputs;
+
+ private:
+  std::shared_ptr<ConvExecutor> inner_;
+};
+
+}  // namespace
+
+std::vector<Tensor> conv_inputs(Model& model, const Tensor& x,
+                                const std::shared_ptr<ConvExecutor>& executor) {
+  if (executor == nullptr) {
+    throw std::invalid_argument("conv_inputs: executor must be non-null");
+  }
+  auto capture =
+      std::make_shared<InputCapture>(executor, model.assign_conv_ids().size());
+  model.set_conv_executor(capture);
+  (void)model.forward(x, /*train=*/false);
+  model.set_conv_executor(nullptr);
+  return std::move(capture->inputs);
+}
+
 }  // namespace odq::nn

@@ -35,6 +35,8 @@ class Model {
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
+  // An eval forward (train == false) writes no layer member, so threads may
+  // run eval forwards on one model concurrently (executors permitting).
   tensor::Tensor forward(const tensor::Tensor& x, bool train = false);
   // Backward through the whole stack; returns grad w.r.t. the model input.
   tensor::Tensor backward(const tensor::Tensor& grad_out);
@@ -80,5 +82,12 @@ class Model {
 double evaluate_accuracy(Model& model, const tensor::Tensor& images,
                          const std::vector<int>& labels,
                          std::int64_t batch = 32);
+
+// Run one eval forward of `x` with `executor` (non-null) installed on every
+// conv and return each conv's input, indexed by conv id. For instrumentation
+// harnesses that analyze layer inputs. Leaves every conv on FP32 (nullptr).
+std::vector<tensor::Tensor> conv_inputs(
+    Model& model, const tensor::Tensor& x,
+    const std::shared_ptr<ConvExecutor>& executor);
 
 }  // namespace odq::nn

@@ -1,7 +1,5 @@
 #include "quant/quantizer.hpp"
 
-#include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
 #include "tensor/ops.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -371,22 +369,6 @@ TensorI8 im2col_i8(const TensorI8& input, std::int64_t kh, std::int64_t kw,
       },
       /*grain=*/2);
   return cols;
-}
-
-TensorI32 conv2d_i8_fast(const TensorI8& input, const TensorI8& weight,
-                         std::int64_t stride, std::int64_t pad) {
-  const Shape& is = input.shape();
-  const Shape& ws = weight.shape();
-  if (is.rank() != 4 || ws.rank() != 4 || is[1] != ws[1]) {
-    throw std::invalid_argument("conv2d_i8_fast: bad shapes");
-  }
-  // Pack into the shared cache-blocked layout, then run the tiled INT-GEMM
-  // microkernel. Integer accumulation is order-independent, so the result
-  // stays bit-identical to conv2d_i8 at any tiling and pool size.
-  gemm::PackedIm2col cols =
-      gemm::pack_im2col_i8(input, ws[2], ws[3], stride, pad);
-  gemm::PackedWeights wts = gemm::pack_weights_i8(weight);
-  return gemm::gemm_conv_i8(cols, wts, /*shift=*/0);
 }
 
 }  // namespace odq::quant

@@ -6,14 +6,15 @@
 //                                                            │
 //                  dynamic batcher: flush on max_batch       │
 //                  or deadline timeout, whichever first      ▼
-//                                              InferenceSession (per worker)
+//                                              InferenceSession (shared)
 //
-// Each worker owns its own session (model replica + executor) and pops
-// dynamic batches off the shared queue. A batch is evaluated one request
-// at a time — see session.hpp for why coalescing must never couple
-// requests numerically — and every request's promise is fulfilled with an
-// InferResponse whose util::Status carries any failure (bad input shape,
-// injected fault, executor error) without taking the worker down.
+// Workers may share one session (a read-only model + executor; see
+// session.hpp) and pop dynamic batches off the shared queue. A batch is
+// evaluated one request at a time — see session.hpp for why coalescing
+// must never couple requests numerically — and every request's promise
+// is fulfilled with an InferResponse whose util::Status carries any
+// failure (bad input shape, injected fault, executor error) without taking
+// the worker down.
 //
 // Shutdown is drain-and-join: shutdown() closes the queue to new
 // submissions (they get kUnavailable), workers finish everything already
@@ -109,11 +110,13 @@ struct EngineStats {
 
 class ServeEngine {
  public:
-  // One session per worker, built by `factory` (called with worker ids
+  // The session each worker runs, from `factory` (called with worker ids
   // 0..num_workers-1 on the constructing thread, so factory errors throw
-  // here, not inside a worker). Workers start immediately.
+  // here, not inside a worker). Workers may share one session: the
+  // factory can hand every worker the same pointer. Workers start
+  // immediately.
   using SessionFactory =
-      std::function<std::unique_ptr<InferenceSession>(int worker_id)>;
+      std::function<std::shared_ptr<InferenceSession>(int worker_id)>;
 
   ServeEngine(EngineConfig cfg, const SessionFactory& factory);
   ~ServeEngine();
@@ -171,7 +174,7 @@ class ServeEngine {
 
   EngineConfig cfg_;
   RequestQueue queue_;
-  std::vector<std::unique_ptr<InferenceSession>> sessions_;
+  std::vector<std::shared_ptr<InferenceSession>> sessions_;
   std::vector<std::thread> workers_;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::uint64_t> next_id_{0};

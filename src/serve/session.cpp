@@ -38,27 +38,6 @@ ModelSession::ModelSession(nn::Model model,
   model_.set_conv_executor(executor_);
 }
 
-void ModelSession::set_degraded_executor(
-    std::shared_ptr<nn::ConvExecutor> executor, std::string scheme) {
-  degraded_executor_ = std::move(executor);
-  degraded_scheme_ = std::move(scheme);
-}
-
-tensor::Tensor ModelSession::run_degraded(const tensor::Tensor& input) {
-  if (degraded_scheme_.empty()) return run(input);
-  // Swap-run-restore: the restore must happen even when the forward throws,
-  // or the session would keep serving full-scheme requests degraded.
-  model_.set_conv_executor(degraded_executor_);
-  try {
-    tensor::Tensor out = run(input);
-    model_.set_conv_executor(executor_);
-    return out;
-  } catch (...) {
-    model_.set_conv_executor(executor_);
-    throw;
-  }
-}
-
 tensor::Tensor ModelSession::run(const tensor::Tensor& input) {
   if (input.shape().rank() == 3) {
     // Promote CHW to [1,C,H,W] — a single-sample request.

@@ -1,10 +1,12 @@
-// Inference sessions: the pluggable per-worker evaluation unit.
+// Inference sessions: the pluggable evaluation unit of the serve engine.
 //
-// Each engine worker owns one InferenceSession (model forward passes are
-// not thread-safe — Conv2d caches its input even in eval mode — so workers
-// never share a session). A ModelSession wraps an nn::Model with one of
-// the numeric schemes (ODQ / DRQ / static-INT8 / FP32 reference) installed
-// as its ConvExecutor.
+// A session handed to several engine workers must allow concurrent run()
+// and run_degraded() calls. ModelSession does: it wraps an nn::Model with
+// one of the numeric schemes (ODQ / DRQ / static-INT8 / FP32 reference)
+// installed as its ConvExecutor, an eval forward writes no layer member,
+// and the executors lock their statistics, so one model serves every
+// worker. DegradableSession pairs two such sessions, the full scheme and
+// the load-shed controller's cheaper one.
 //
 // Batch-invariance contract: the engine evaluates a coalesced batch by
 // running each request through run() independently, one sample at a time.
@@ -58,8 +60,9 @@ class InferenceSession {
 std::shared_ptr<nn::ConvExecutor> make_conv_executor(
     const std::string& scheme, const core::OdqConfig& odq_cfg = {});
 
-// An nn::Model replica evaluating under `executor` (nullptr = FP32).
-// Takes ownership of the model; assigns conv ids and installs the executor.
+// An nn::Model evaluating under `executor` (nullptr = FP32). Takes
+// ownership of the model; assigns conv ids and installs the executor once,
+// at construction.
 class ModelSession : public InferenceSession {
  public:
   ModelSession(nn::Model model, std::shared_ptr<nn::ConvExecutor> executor,
@@ -68,18 +71,6 @@ class ModelSession : public InferenceSession {
   tensor::Tensor run(const tensor::Tensor& input) override;
   std::string scheme() const override { return scheme_; }
 
-  // Install a cheaper executor for load-shed degradation (e.g.
-  // static-INT8 under an ODQ primary). run_degraded swaps it onto the
-  // model for the call and restores the primary afterwards — safe because
-  // each engine worker owns its session and runs single-threaded.
-  void set_degraded_executor(std::shared_ptr<nn::ConvExecutor> executor,
-                             std::string scheme);
-  tensor::Tensor run_degraded(const tensor::Tensor& input) override;
-  std::string degraded_scheme() const override {
-    return degraded_scheme_.empty() ? scheme_ : degraded_scheme_;
-  }
-
-  nn::Model& model() { return model_; }
   const std::shared_ptr<nn::ConvExecutor>& executor() const {
     return executor_;
   }
@@ -88,8 +79,29 @@ class ModelSession : public InferenceSession {
   nn::Model model_;
   std::shared_ptr<nn::ConvExecutor> executor_;
   std::string scheme_;
-  std::shared_ptr<nn::ConvExecutor> degraded_executor_;
-  std::string degraded_scheme_;
+};
+
+// Load-shed degradation as two shared sessions: run() evaluates `full`,
+// run_degraded() evaluates `degraded` (e.g. static-INT8 under an ODQ
+// primary). Neither call touches the other session.
+class DegradableSession : public InferenceSession {
+ public:
+  DegradableSession(std::shared_ptr<InferenceSession> full,
+                    std::shared_ptr<InferenceSession> degraded)
+      : full_(std::move(full)), degraded_(std::move(degraded)) {}
+
+  tensor::Tensor run(const tensor::Tensor& input) override {
+    return full_->run(input);
+  }
+  tensor::Tensor run_degraded(const tensor::Tensor& input) override {
+    return degraded_->run(input);
+  }
+  std::string scheme() const override { return full_->scheme(); }
+  std::string degraded_scheme() const override { return degraded_->scheme(); }
+
+ private:
+  std::shared_ptr<InferenceSession> full_;
+  std::shared_ptr<InferenceSession> degraded_;
 };
 
 }  // namespace odq::serve

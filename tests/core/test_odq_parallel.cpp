@@ -112,13 +112,13 @@ TEST(OdqRecombination, SplitTermConvsReproduceFullInt4Conv) {
           random_weights(Shape{5, 3, 3, 3}, seed++), 4);
       const int lb = 2;
 
-      tensor::TensorI32 full = quant::conv2d_i8_fast(in.q, w.q, stride, pad);
+      tensor::TensorI32 full = quant::conv2d_i8(in.q, w.q, stride, pad);
       quant::SplitTensor is = quant::split(in, lb);
       quant::SplitTensor ws = quant::split(w, lb);
-      tensor::TensorI32 hh = quant::conv2d_i8_fast(is.high, ws.high, stride, pad);
-      tensor::TensorI32 hl = quant::conv2d_i8_fast(is.high, ws.low, stride, pad);
-      tensor::TensorI32 lh = quant::conv2d_i8_fast(is.low, ws.high, stride, pad);
-      tensor::TensorI32 ll = quant::conv2d_i8_fast(is.low, ws.low, stride, pad);
+      tensor::TensorI32 hh = quant::conv2d_i8(is.high, ws.high, stride, pad);
+      tensor::TensorI32 hl = quant::conv2d_i8(is.high, ws.low, stride, pad);
+      tensor::TensorI32 lh = quant::conv2d_i8(is.low, ws.high, stride, pad);
+      tensor::TensorI32 ll = quant::conv2d_i8(is.low, ws.low, stride, pad);
       for (std::int64_t i = 0; i < full.numel(); ++i) {
         ASSERT_EQ((hh[i] << (2 * lb)) + ((hl[i] + lh[i]) << lb) + ll[i],
                   full[i])

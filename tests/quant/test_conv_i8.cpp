@@ -69,37 +69,6 @@ TEST(ConvI8, BadOutputShapeThrows) {
   EXPECT_THROW(conv2d_i8_accum(in, w, 1, 1, 0, out), std::invalid_argument);
 }
 
-TEST(ConvI8Fast, BitIdenticalToDirect) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    TensorI8 in = random_codes(Shape{2, 3, 9, 7}, 100 + seed, 0, 15);
-    TensorI8 w = random_codes(Shape{4, 3, 3, 3}, 200 + seed, -8, 7);
-    for (std::int64_t stride : {1, 2}) {
-      TensorI32 direct = conv2d_i8(in, w, stride, 1);
-      TensorI32 fast = conv2d_i8_fast(in, w, stride, 1);
-      ASSERT_EQ(direct.shape(), fast.shape());
-      for (std::int64_t i = 0; i < direct.numel(); ++i) {
-        ASSERT_EQ(direct[i], fast[i]) << "seed=" << seed << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ConvI8Fast, OneByOneKernel) {
-  TensorI8 in = random_codes(Shape{1, 4, 5, 5}, 9, 0, 15);
-  TensorI8 w = random_codes(Shape{2, 4, 1, 1}, 10, -7, 7);
-  TensorI32 direct = conv2d_i8(in, w, 1, 0);
-  TensorI32 fast = conv2d_i8_fast(in, w, 1, 0);
-  for (std::int64_t i = 0; i < direct.numel(); ++i) {
-    ASSERT_EQ(direct[i], fast[i]);
-  }
-}
-
-TEST(ConvI8Fast, RejectsBadShapes) {
-  TensorI8 in(Shape{1, 2, 4, 4});
-  TensorI8 w(Shape{1, 3, 3, 3});
-  EXPECT_THROW(conv2d_i8_fast(in, w, 1, 1), std::invalid_argument);
-}
-
 TEST(Im2colI8, MatchesFloatIm2col) {
   TensorI8 in = random_codes(Shape{1, 2, 6, 6}, 11, -8, 7);
   Tensor inf(in.shape());

@@ -347,59 +347,111 @@ TEST_F(ServeEngineTest, NullSessionFactoryThrows) {
       std::invalid_argument);
 }
 
-// The tentpole invariant end-to-end with a real model: batched execution
-// through the engine is bit-identical to sequential single-request
-// execution, regardless of worker count or how requests coalesced.
-TEST_F(ServeEngineTest, BatchedOdqServingIsBitIdenticalToSequential) {
-  auto make_model_session = [] {
-    nn::Model m("serve-test");
-    m.add<nn::Conv2d>(2, 4, 3, 1, 1);
-    m.add<nn::ReLU>();
-    m.add<nn::Conv2d>(4, 4, 3, 1, 1);
-    m.add<nn::ReLU>();
-    m.add<nn::GlobalAvgPool>();
-    m.add<nn::Flatten>();
-    m.add<nn::Linear>(4, 3);
-    nn::kaiming_init(m, 11);
-    core::OdqConfig cfg;
-    cfg.threshold = 0.15f;
-    return std::make_unique<ModelSession>(
-        std::move(m), make_conv_executor("odq", cfg), "odq");
-  };
+// A small conv net under `scheme`, with the same weights on every call.
+std::unique_ptr<ModelSession> make_model_session(const std::string& scheme) {
+  nn::Model m("serve-test");
+  m.add<nn::Conv2d>(2, 4, 3, 1, 1);
+  m.add<nn::ReLU>();
+  m.add<nn::Conv2d>(4, 4, 3, 1, 1);
+  m.add<nn::ReLU>();
+  m.add<nn::GlobalAvgPool>();
+  m.add<nn::Flatten>();
+  m.add<nn::Linear>(4, 3);
+  nn::kaiming_init(m, 11);
+  core::OdqConfig cfg;
+  cfg.threshold = 0.15f;
+  return std::make_unique<ModelSession>(
+      std::move(m), make_conv_executor(scheme, cfg), scheme);
+}
 
-  auto input_for = [](std::uint64_t i) {
-    util::Rng rng(testprop::case_seed(i));
-    return testprop::random_activations(rng, Shape{1, 2, 8, 8});
-  };
+Tensor request_input(std::uint64_t i) {
+  util::Rng rng(testprop::case_seed(i));
+  return testprop::random_activations(rng, Shape{1, 2, 8, 8});
+}
 
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// Serves kRequests through `factory` and checks every response against a
+// separately built sequential ODQ session, bit for bit.
+void expect_served_matches_sequential(
+    const ServeEngine::SessionFactory& factory) {
   constexpr int kRequests = 32;
   EngineConfig cfg;
   cfg.num_workers = 2;
   cfg.max_batch = 4;
   cfg.flush_timeout_us = 2000;
-  ServeEngine engine(cfg,
-                     [&](int) { return make_model_session(); });
+  ServeEngine engine(cfg, factory);
   std::vector<std::future<InferResponse>> futs;
   for (std::uint64_t i = 0; i < kRequests; ++i) {
-    auto f = engine.submit(input_for(i));
+    auto f = engine.submit(request_input(i));
     ASSERT_TRUE(f.ok());
     futs.push_back(std::move(*f));
   }
   engine.shutdown();
 
-  auto sequential = make_model_session();
+  auto sequential = make_model_session("odq");
   for (std::uint64_t i = 0; i < kRequests; ++i) {
     InferResponse res = futs[static_cast<std::size_t>(i)].get();
     ASSERT_TRUE(res.status.ok()) << res.status.to_string();
-    Tensor expected = sequential->run(input_for(i));
-    ASSERT_EQ(expected.shape(), res.output.shape());
-    ASSERT_EQ(std::memcmp(expected.data(), res.output.data(),
-                          static_cast<std::size_t>(expected.numel()) *
-                              sizeof(float)),
-              0)
+    EXPECT_TRUE(bitwise_equal(sequential->run(request_input(i)), res.output))
         << "request " << i << " diverged (batch_size " << res.batch_size
         << ", worker " << res.worker_id << ")";
   }
+}
+
+// The tentpole invariant end-to-end with a real model: batched execution
+// through the engine is bit-identical to sequential single-request
+// execution, regardless of worker count or how requests coalesced.
+TEST_F(ServeEngineTest, BatchedOdqServingIsBitIdenticalToSequential) {
+  expect_served_matches_sequential(
+      [](int) { return make_model_session("odq"); });
+}
+
+// Both workers run one ModelSession (one model, one executor): an eval
+// forward keeps no state, so sharing changes no output bit.
+TEST_F(ServeEngineTest, WorkersSharingOneSessionMatchSequential) {
+  const std::shared_ptr<InferenceSession> shared = make_model_session("odq");
+  expect_served_matches_sequential([&](int) { return shared; });
+}
+
+// Concurrent run / run_degraded calls on one full/degraded pair: each path
+// matches its own scheme's separately built session, bit for bit.
+TEST(DegradableSessionTest, ConcurrentCallsMatchTheirOwnScheme) {
+  DegradableSession pair(make_model_session("odq"),
+                         make_model_session("static_int8"));
+  EXPECT_EQ(pair.scheme(), "odq");
+  EXPECT_EQ(pair.degraded_scheme(), "static_int8");
+
+  constexpr int kInputs = 8;
+  auto full_oracle = make_model_session("odq");
+  auto int8_oracle = make_model_session("static_int8");
+  std::vector<Tensor> full, degraded;
+  for (std::uint64_t i = 0; i < kInputs; ++i) {
+    full.push_back(full_oracle->run(request_input(i)));
+    degraded.push_back(int8_oracle->run(request_input(i)));
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int k = 0; k < 2 * kInputs; ++k) {
+        const auto i = static_cast<std::size_t>((t + k) % kInputs);
+        const bool degrade = (t + k) % 2 == 0;
+        const Tensor out = degrade ? pair.run_degraded(request_input(i))
+                                   : pair.run(request_input(i));
+        if (!bitwise_equal(out, degrade ? degraded[i] : full[i])) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

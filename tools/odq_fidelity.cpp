@@ -56,13 +56,12 @@
 
 #include "core/odq.hpp"
 #include "data/synthetic.hpp"
-#include "nn/init.hpp"
-#include "nn/models.hpp"
 #include "obs/fidelity.hpp"
 #include "obs/flight.hpp"
 #include "obs/quality.hpp"
 #include "serve/session.hpp"
 #include "tool_main.hpp"
+#include "tool_model.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
 
@@ -103,20 +102,6 @@ int usage() {
   return 2;
 }
 
-nn::Model build_model(const Options& opt, int* classes) {
-  *classes = 10;
-  if (opt.model == "lenet" || opt.model == "lenet5") {
-    return nn::make_lenet5(*classes);
-  }
-  if (opt.model == "resnet20") return nn::make_resnet(20, *classes, opt.width);
-  if (opt.model == "resnet56") return nn::make_resnet(56, *classes, opt.width);
-  if (opt.model == "vgg16") return nn::make_vgg16(*classes, opt.width);
-  if (opt.model == "densenet") {
-    return nn::make_densenet(*classes, opt.width / 2 + 2, 3);
-  }
-  throw std::invalid_argument("unknown model " + opt.model);
-}
-
 std::vector<float> parse_thresholds(const char* arg) {
   std::vector<float> out;
   const std::string s = arg;
@@ -152,24 +137,14 @@ double match_fraction(const std::vector<int>& a, const std::vector<int>& b) {
                    : static_cast<double>(hits) / static_cast<double>(a.size());
 }
 
-// [C,H,W] request shape for a model (matches odq_serve's load generator).
-tensor::Shape input_chw_for(const std::string& model) {
-  return (model == "lenet" || model == "lenet5") ? tensor::Shape{1, 28, 28}
-                                                 : tensor::Shape{3, 32, 32};
-}
-
-// Replica construction identical to odq_serve: deterministic init from the
-// fixed seed, then (optionally) a checkpoint — the baseline and the shadow
-// lane must hold the same weights or drift would measure replica skew.
+// On the tools' shared weight sequence (tool_model.hpp), as odq_serve
+// builds its sessions: the baseline and the shadow lane must hold the same
+// weights or drift would measure weight skew.
 serve::ModelSession make_quality_session(const Options& opt,
                                          const std::string& scheme,
                                          float threshold) {
-  int classes = 10;
-  nn::Model model = build_model(opt, &classes);
-  nn::kaiming_init(model, 1);
-  if (!opt.checkpoint.empty()) {
-    model.try_load(opt.checkpoint).throw_if_error();
-  }
+  nn::Model model =
+      tools::build_initialized_model(opt.model, opt.width, opt.checkpoint);
   core::OdqConfig cfg;
   cfg.threshold = threshold;
   return serve::ModelSession(std::move(model),
@@ -228,7 +203,7 @@ bool snapshots_equal(const std::vector<obs::FidelityLayerSnapshot>& a,
 // --emit-baseline: per-sample calibration pass -> odq_quality_baseline JSON.
 int emit_baseline_main(const Options& opt) {
   serve::ModelSession session = make_quality_session(opt, "odq", opt.threshold);
-  const tensor::Shape chw = input_chw_for(opt.model);
+  const tensor::Shape chw = tools::input_chw_for(opt.model);
 
   // Calibration inputs, evaluated one sample at a time: activation scales
   // are per-tensor at run time, so a [N,...] batch would quantize under a
@@ -412,12 +387,8 @@ int tool_main(int argc, char** argv) {
   if (!opt.sweep) opt.thresholds = {opt.threshold};
 
   {
-    int classes = 10;
-    nn::Model model = build_model(opt, &classes);
-    nn::kaiming_init(model, 1);
-    if (!opt.checkpoint.empty()) {
-      model.try_load(opt.checkpoint).throw_if_error();
-    }
+    nn::Model model =
+        tools::build_initialized_model(opt.model, opt.width, opt.checkpoint);
     const std::size_t num_convs = model.assign_conv_ids().size();
 
     const bool digits = opt.model == "lenet" || opt.model == "lenet5";
@@ -426,7 +397,7 @@ int tool_main(int argc, char** argv) {
       data = data::make_synthetic_digits(opt.batch, 1);
     } else {
       data::SyntheticConfig dcfg;
-      dcfg.num_classes = classes;
+      dcfg.num_classes = tools::kNumClasses;
       dcfg.noise = 0.05f;
       data = data::make_synthetic_images(dcfg, opt.batch, 1);
     }

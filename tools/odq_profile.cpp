@@ -30,12 +30,11 @@
 
 #include "core/odq.hpp"
 #include "data/synthetic.hpp"
-#include "nn/init.hpp"
-#include "nn/models.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 #include "tool_main.hpp"
+#include "tool_model.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -108,20 +107,6 @@ class ProfilingExecutor : public nn::ConvExecutor {
   std::map<int, LayerProfile> profiles_;
 };
 
-nn::Model build_model(const Options& opt, int* classes) {
-  *classes = 10;
-  if (opt.model == "lenet" || opt.model == "lenet5") {
-    return nn::make_lenet5(*classes);
-  }
-  if (opt.model == "resnet20") return nn::make_resnet(20, *classes, opt.width);
-  if (opt.model == "resnet56") return nn::make_resnet(56, *classes, opt.width);
-  if (opt.model == "vgg16") return nn::make_vgg16(*classes, opt.width);
-  if (opt.model == "densenet") {
-    return nn::make_densenet(*classes, opt.width / 2 + 2, 3);
-  }
-  throw std::invalid_argument("unknown model " + opt.model);
-}
-
 // ODQ operand bytes for one call: INT4 input + INT4 weights + INT4 output
 // plus the 1-bit sensitivity mask per output.
 double layer_bytes_moved(const LayerProfile& p) {
@@ -171,9 +156,7 @@ int tool_main(int argc, char** argv) {
     obs::set_trace_enabled(true);
     obs::set_telemetry_enabled(true);
 
-    int classes = 10;
-    nn::Model model = build_model(opt, &classes);
-    nn::kaiming_init(model, 1);
+    nn::Model model = tools::build_initialized_model(opt.model, opt.width, "");
     model.assign_conv_ids();
 
     core::OdqConfig cfg;
@@ -188,7 +171,7 @@ int tool_main(int argc, char** argv) {
       data = data::make_synthetic_digits(need, 1);
     } else {
       data::SyntheticConfig dcfg;
-      dcfg.num_classes = classes;
+      dcfg.num_classes = tools::kNumClasses;
       dcfg.noise = 0.05f;
       data = data::make_synthetic_images(dcfg, need, 1);
     }

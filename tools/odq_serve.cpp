@@ -4,23 +4,25 @@
 //   odq_serve --model lenet5 --scheme odq --workers 4 --requests 1000
 //             --verify --json serve.json
 //
-// Builds the requested model (optionally loading a v3 checkpoint into every
-// worker replica), starts a ServeEngine, and drives it from concurrent
-// client threads submitting single-sample requests. Reports p50/p95/p99
-// latency, throughput and (with --telemetry) the observed batch-size
-// distribution, and mirrors the results as a bench-JSON document
-// odq_bench_diff can gate: the deterministic cells (request/error counts,
-// bit-identity) live in the "serve" section; wall-clock cells live in
-// "serve_host_wall_clock", which the gate ignores by default.
+// Builds the requested model (optionally loading a v3 checkpoint) as one
+// serving session that every engine worker shares, starts a ServeEngine,
+// and drives it from concurrent client threads submitting single-sample
+// requests. Reports p50/p95/p99 latency, throughput and (with --telemetry)
+// the observed batch-size distribution, and mirrors the results as a
+// bench-JSON document odq_bench_diff can gate: the deterministic cells
+// (request/error counts, bit-identity) live in the "serve" section;
+// wall-clock cells live in "serve_host_wall_clock", which the gate ignores
+// by default.
 //
-// --verify re-runs every request sequentially (batch size 1, fresh session)
-// and compares outputs bit-for-bit against the served responses: dynamic
-// batching must be a pure scheduling decision, never a numerical one.
+// --verify re-runs every request sequentially (batch size 1, separately
+// built session) and compares outputs bit-for-bit against the served
+// responses: dynamic batching must be a pure scheduling decision, never a
+// numerical one.
 //
 // Options:
 //   --model <name>        lenet5 | resnet20 | resnet56 | vgg16 | densenet
 //   --scheme <s>          odq | drq | static_int8 | fp32     (default odq)
-//   --checkpoint <path>   v3 checkpoint loaded into every worker replica
+//   --checkpoint <path>   v3 checkpoint loaded into the served model
 //   --save-checkpoint <p> write the initialized model as a v3 checkpoint
 //                         and exit (companion for --checkpoint runs)
 //   --workers <n>         engine worker threads (default 4)
@@ -93,8 +95,6 @@
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
-#include "nn/init.hpp"
-#include "nn/models.hpp"
 #include "obs/histogram.hpp"
 #include "obs/quality.hpp"
 #include "obs/telemetry.hpp"
@@ -105,6 +105,7 @@
 #include "serve/shadow.hpp"
 #include "tensor/tensor.hpp"
 #include "tool_main.hpp"
+#include "tool_model.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
 #include "util/json_read.hpp"
@@ -200,39 +201,16 @@ int usage() {
   return 2;
 }
 
-nn::Model build_model(const Options& opt, int* classes) {
-  *classes = 10;
-  if (opt.model == "lenet" || opt.model == "lenet5") {
-    return nn::make_lenet5(*classes);
-  }
-  if (opt.model == "resnet20") return nn::make_resnet(20, *classes, opt.width);
-  if (opt.model == "resnet56") return nn::make_resnet(56, *classes, opt.width);
-  if (opt.model == "vgg16") return nn::make_vgg16(*classes, opt.width);
-  if (opt.model == "densenet") {
-    return nn::make_densenet(*classes, opt.width / 2 + 2, 3);
-  }
-  throw std::invalid_argument("unknown model " + opt.model);
-}
-
-// Every replica must hold identical weights or batched-vs-sequential
-// comparisons would measure replica skew, not batching: deterministic init
-// from a fixed seed, then (optionally) the same checkpoint.
-nn::Model build_replica(const Options& opt) {
-  int classes = 10;
-  nn::Model model = build_model(opt, &classes);
-  nn::kaiming_init(model, 1);
-  if (!opt.checkpoint.empty()) {
-    model.try_load(opt.checkpoint).throw_if_error();
-  }
-  return model;
-}
-
-std::unique_ptr<serve::ModelSession> make_session(const Options& opt) {
+// A session on the tools' shared weight sequence (tool_model.hpp): served
+// and oracle sessions hold identical weights, so batched-vs-sequential
+// comparisons measure batching, not weight skew.
+std::unique_ptr<serve::ModelSession> make_session(const Options& opt,
+                                                  const std::string& scheme) {
   core::OdqConfig cfg;
   cfg.threshold = opt.threshold;
   return std::make_unique<serve::ModelSession>(
-      build_replica(opt), serve::make_conv_executor(opt.scheme, cfg),
-      opt.scheme);
+      tools::build_initialized_model(opt.model, opt.width, opt.checkpoint),
+      serve::make_conv_executor(scheme, cfg), scheme);
 }
 
 // Deterministic synthetic request: id -> [1,C,H,W] tensor, independent of
@@ -302,12 +280,6 @@ std::string prom_path_for(const std::string& json_path) {
 // Networked serving modes (docs/serving.md).
 // ---------------------------------------------------------------------------
 
-tensor::Shape input_shape_for(const Options& opt) {
-  return (opt.model == "lenet" || opt.model == "lenet5")
-             ? tensor::Shape{1, 28, 28}
-             : tensor::Shape{3, 32, 32};
-}
-
 // tmp + rename so a polling reader never sees a partial write.
 util::Status write_text_file_atomic(const std::string& path,
                                     const std::string& text) {
@@ -337,14 +309,10 @@ int run_net_server(const Options& opt) {
   ecfg.max_batch = static_cast<std::size_t>(opt.max_batch);
   ecfg.flush_timeout_us = opt.flush_us;
   ecfg.slo_us = opt.slo_us;
-  serve::ServeEngine engine(ecfg, [&](int) {
-    std::unique_ptr<serve::ModelSession> s = make_session(opt);
-    core::OdqConfig cfg;
-    cfg.threshold = opt.threshold;
-    s->set_degraded_executor(serve::make_conv_executor("static_int8", cfg),
-                             "static_int8");
-    return s;
-  });
+  // One full/degraded pair of sessions, shared by every worker.
+  const auto session = std::make_shared<serve::DegradableSession>(
+      make_session(opt, opt.scheme), make_session(opt, "static_int8"));
+  serve::ServeEngine engine(ecfg, [&](int) { return session; });
 
   const auto cap = static_cast<std::size_t>(opt.queue_cap);
   serve::FrontEndConfig fcfg;
@@ -478,14 +446,14 @@ struct NetLoadResult {
 
 // --net-client: drive `--clients` threads of synchronous requests against
 // --port, classify every outcome, optionally verify ok responses
-// bit-for-bit against a local oracle replica (the cross-process version of
+// bit-for-bit against a local oracle session (the cross-process version of
 // --verify: same deterministic inputs, same checkpoint, same executor).
 int run_net_client(const Options& opt) {
   if (opt.port <= 0) {
     std::fprintf(stderr, "odq_serve: --net-client needs --port\n");
     return 2;
   }
-  const tensor::Shape input_chw = input_shape_for(opt);
+  const tensor::Shape input_chw = tools::input_chw_for(opt.model);
 
   // Verify oracles, built lazily under a mutex (requests are wire-bound;
   // oracle evaluation is the rare path). Degraded responses check against
@@ -557,19 +525,11 @@ int run_net_client(const Options& opt) {
         if (wire.degraded != 0) ++agg.degraded;
         if (opt.verify) {
           std::lock_guard<std::mutex> lock(oracle_mu);
-          core::OdqConfig cfg;
-          cfg.threshold = opt.threshold;
           std::unique_ptr<serve::ModelSession>& oracle =
               wire.degraded != 0 ? oracle_degraded : oracle_full;
           if (oracle == nullptr) {
-            if (wire.degraded != 0) {
-              oracle = std::make_unique<serve::ModelSession>(
-                  build_replica(opt),
-                  serve::make_conv_executor("static_int8", cfg),
-                  "static_int8");
-            } else {
-              oracle = make_session(opt);
-            }
+            oracle = make_session(
+                opt, wire.degraded != 0 ? "static_int8" : opt.scheme);
           }
           tensor::Tensor expected = oracle->run(req.input);
           const std::int64_t mismatch =
@@ -1162,10 +1122,9 @@ int tool_main(int argc, char** argv) {
   if (opt.mode == "net-bench") return run_net_bench(opt);
 
   if (!opt.save_checkpoint.empty()) {
-    int classes = 10;
-    nn::Model model = build_model(opt, &classes);
-    nn::kaiming_init(model, 1);
-    model.try_save(opt.save_checkpoint).throw_if_error();
+    tools::build_initialized_model(opt.model, opt.width, "")
+        .try_save(opt.save_checkpoint)
+        .throw_if_error();
     if (!opt.quiet) {
       std::fprintf(stderr, "odq_serve: wrote v3 checkpoint %s\n",
                    opt.save_checkpoint.c_str());
@@ -1173,15 +1132,7 @@ int tool_main(int argc, char** argv) {
     return 0;
   }
 
-  const tensor::Shape input_chw =
-      (opt.model == "lenet" || opt.model == "lenet5")
-          ? tensor::Shape{1, 28, 28}
-          : tensor::Shape{3, 32, 32};
-
-  // Keep a handle on each replica's ODQ executor so the summary can report
-  // the whole-run sensitive fraction the executors measured.
-  std::vector<std::shared_ptr<nn::ConvExecutor>> worker_execs(
-      static_cast<std::size_t>(opt.workers));
+  const tensor::Shape input_chw = tools::input_chw_for(opt.model);
 
   // Telemetry: switch the observability plane on and run the background
   // exporter over the whole load phase, so odq_top can tail the snapshot
@@ -1199,7 +1150,7 @@ int tool_main(int argc, char** argv) {
     exporter->start();
   }
 
-  // Shadow quality lane: one extra replica re-evaluating a deterministic
+  // Shadow quality lane: one extra session re-evaluating a deterministic
   // 1-in-N sample of the live requests under fidelity instrumentation.
   std::unique_ptr<serve::ShadowLane> shadow;
   if (opt.shadow_rate > 0) {
@@ -1208,7 +1159,8 @@ int tool_main(int argc, char** argv) {
     scfg.seed = opt.seed;
     scfg.quality.drift_window = opt.drift_window;
     scfg.quality.hist_drift_threshold = opt.drift_tv;
-    shadow = std::make_unique<serve::ShadowLane>(scfg, make_session(opt));
+    shadow = std::make_unique<serve::ShadowLane>(
+        scfg, make_session(opt, opt.scheme));
     obs::FlightContext fctx;
     fctx.model = opt.model;
     fctx.scheme = opt.scheme;
@@ -1235,11 +1187,11 @@ int tool_main(int argc, char** argv) {
   ecfg.flush_timeout_us = opt.flush_us;
   ecfg.slo_us = opt.slo_us;
   ecfg.shadow = shadow.get();
-  serve::ServeEngine engine(ecfg, [&](int worker_id) {
-    std::unique_ptr<serve::ModelSession> s = make_session(opt);
-    worker_execs[static_cast<std::size_t>(worker_id)] = s->executor();
-    return s;
-  });
+  // One serving session shared by every worker; its executor measures the
+  // whole-run sensitive fraction the summary reports.
+  const std::shared_ptr<serve::ModelSession> session =
+      make_session(opt, opt.scheme);
+  serve::ServeEngine engine(ecfg, [&](int) { return session; });
 
   const std::int64_t n = opt.requests;
   std::vector<std::future<serve::InferResponse>> futures(
@@ -1313,13 +1265,14 @@ int tool_main(int argc, char** argv) {
   const double throughput =
       load_seconds > 0 ? static_cast<double>(n) / load_seconds : 0.0;
 
-  // Sequential oracle: same inputs, fresh replica, one request at a time.
-  // Bit-identity is the serving engine's core invariant — how requests
-  // were coalesced must never show up in the outputs.
+  // Sequential oracle: same inputs, separately built session, one request
+  // at a time. Bit-identity is the serving engine's core invariant — how
+  // requests were coalesced must never show up in the outputs.
   bool bit_identical = true;
   std::int64_t verified = 0;
   if (opt.verify) {
-    std::unique_ptr<serve::ModelSession> oracle = make_session(opt);
+    const std::unique_ptr<serve::ModelSession> oracle =
+        make_session(opt, opt.scheme);
     for (std::int64_t r = 0; r < n; ++r) {
       const serve::InferResponse& res = responses[static_cast<std::size_t>(r)];
       if (!res.status.ok()) continue;
@@ -1481,12 +1434,9 @@ int tool_main(int argc, char** argv) {
       }
       std::fputc('\n', stderr);
     }
-    if (opt.scheme == "odq") {
-      core::OdqLayerStats total;
-      for (const auto& exec : worker_execs) {
-        auto* odq_exec = dynamic_cast<core::OdqConvExecutor*>(exec.get());
-        if (odq_exec != nullptr) total.merge(odq_exec->total_stats());
-      }
+    if (const auto* odq_exec = dynamic_cast<const core::OdqConvExecutor*>(
+            session->executor().get())) {
+      const core::OdqLayerStats total = odq_exec->total_stats();
       std::fprintf(stderr, "  odq sensitive fraction %.1f%% over %lld outputs\n",
                    100.0 * total.sensitive_fraction(),
                    static_cast<long long>(total.outputs));
