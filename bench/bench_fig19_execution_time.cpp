@@ -197,14 +197,17 @@ int main(int argc, char** argv) {
                      {"threshold", thr},
                      {"sensitive_fraction", total.sensitive_fraction()},
                      {"odq_seconds", secs},
+                     {"quantize_seconds", total.quantize_seconds},
                      {"pack_seconds", total.pack_seconds},
                      {"gemm_seconds", total.gemm_seconds},
                      {"sparse_epilogue_seconds",
-                      total.sparse_epilogue_seconds}});
+                      total.sparse_epilogue_seconds},
+                     {"dequantize_seconds", total.dequantize_seconds}});
     // The phases are timed inside the timed convs, so their sum can never
     // exceed the wall time unless the two cover different calls.
-    const double phases =
-        total.pack_seconds + total.gemm_seconds + total.sparse_epilogue_seconds;
+    const double phases = total.quantize_seconds + total.pack_seconds +
+                          total.gemm_seconds + total.sparse_epilogue_seconds +
+                          total.dequantize_seconds;
     if (phases > secs) {
       std::fprintf(stderr,
                    "host_threshold_sweep %s: phases sum to %.6f s, more than "

@@ -27,18 +27,25 @@ using tensor::TensorU8;
 
 namespace {
 
-// Quantize activations per the config: max calibration, or clipping at the
-// configured quantile of the (non-negative) activation distribution.
-QTensor quantize_input(const Tensor& input, const OdqConfig& cfg) {
-  ODQ_TRACE_SPAN("odq.quantize");
-  const float clip =
-      quant::activation_clip_from_percentile(input, cfg.act_clip_percentile);
-  return quant::quantize_activations(input, cfg.total_bits, clip);
-}
+// The quantize front end: one parallel scan of the conv input (its max is
+// the calibration unless a percentile clip applies), then the parallel
+// activation code loop and the weight codes. `range` comes from
+// quant::activation_range on the same input.
+struct QuantizedOperands {
+  QTensor input;
+  QTensor weight;
+};
 
-QTensor quantize_weight(const Tensor& weight, const OdqConfig& cfg) {
+QuantizedOperands quantize_operands(const Tensor& input, const Tensor& weight,
+                                    const quant::ActivationRange& range,
+                                    const OdqConfig& cfg) {
   ODQ_TRACE_SPAN("odq.quantize");
-  return quant::quantize_weights(weight, cfg.total_bits, cfg.weight_transform);
+  float clip =
+      quant::activation_clip_from_percentile(input, cfg.act_clip_percentile);
+  if (clip <= 0.0f) clip = range.max;
+  return {quant::quantize_activations(input, cfg.total_bits, clip),
+          quant::quantize_weights(weight, cfg.total_bits,
+                                  cfg.weight_transform)};
 }
 
 // Per-conv pipeline counters (see docs/observability.md). Recorded once per
@@ -101,19 +108,15 @@ void record_odq_fidelity(const Tensor& input, const Tensor& weight,
 // scheme, else a short reason string. ODQ's sensitivity threshold compares
 // |dequantized predictor| against cfg.threshold — a non-finite threshold
 // never selects anything, and a collapsed or non-finite activation range
-// makes the predictor magnitudes meaningless. One linear scan of the input;
-// negligible next to the conv itself and NaN-safe (a plain max would let
-// NaN slip through std::max's ordering).
-const char* odq_degenerate_reason(const Tensor& input, float threshold) {
+// makes the predictor magnitudes meaningless. `range` is the front end's
+// one scan of the input, so the check costs no pass of its own.
+const char* odq_degenerate_reason(const quant::ActivationRange& range,
+                                  float threshold) {
   if (!std::isfinite(threshold)) return "non-finite sensitivity threshold";
-  float amax = 0.0f;
-  const float* p = input.data();
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float v = p[i];
-    if (!std::isfinite(v)) return "non-finite activation";
-    if (v > amax) amax = v;
+  if (!range.finite) return "non-finite activation";
+  if (range.max <= 0.0f) {
+    return "collapsed activation range (no positive values)";
   }
-  if (amax <= 0.0f) return "collapsed activation range (no positive values)";
   return nullptr;
 }
 
@@ -317,11 +320,16 @@ Tensor odq_conv_float(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, std::int64_t stride, std::int64_t pad,
                       const OdqConfig& cfg, OdqLayerStats* stats,
                       TensorU8* mask_out) {
-  QTensor qin = quantize_input(input, cfg);
-  QTensor qw = quantize_weight(weight, cfg);
-  OdqConvResult r = odq_conv(qin, qw, stride, pad, cfg);
+  util::WallTimer front;
+  const QuantizedOperands q =
+      quantize_operands(input, weight, quant::activation_range(input), cfg);
+  const double quantize_seconds = front.seconds();
+  OdqConvResult r = odq_conv(q.input, q.weight, stride, pad, cfg);
+  r.stats.quantize_seconds = quantize_seconds;
 
+  util::WallTimer back;
   Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
+  r.stats.dequantize_seconds = back.seconds();
   if (obs::fidelity_enabled()) {
     record_odq_fidelity(input, weight, bias, stride, pad, cfg, r, out,
                         /*layer=*/-1);
@@ -336,14 +344,19 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
                             std::int64_t pad, int conv_id) {
   obs::TraceSpan span("odq.conv");
   span.arg("conv_id", conv_id);
-  if (const char* reason = odq_degenerate_reason(input, cfg_.threshold)) {
+  util::WallTimer front;
+  const quant::ActivationRange range = quant::activation_range(input);
+  if (const char* reason = odq_degenerate_reason(range, cfg_.threshold)) {
     return run_fallback(input, weight, bias, stride, pad, conv_id, reason);
   }
-  QTensor qin = quantize_input(input, cfg_);
-  QTensor qw = quantize_weight(weight, cfg_);
-  OdqConvResult r = odq_conv(qin, qw, stride, pad, cfg_);
+  const QuantizedOperands q = quantize_operands(input, weight, range, cfg_);
+  const double quantize_seconds = front.seconds();
+  OdqConvResult r = odq_conv(q.input, q.weight, stride, pad, cfg_);
+  r.stats.quantize_seconds = quantize_seconds;
 
+  util::WallTimer back;
   Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
+  r.stats.dequantize_seconds = back.seconds();
   if (obs::fidelity_enabled()) {
     record_odq_fidelity(input, weight, bias, stride, pad, cfg_, r, out,
                         conv_id);

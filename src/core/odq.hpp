@@ -67,6 +67,12 @@ struct OdqLayerStats {
   double pack_seconds = 0.0;
   double gemm_seconds = 0.0;
   double sparse_epilogue_seconds = 0.0;
+  // The float-facing phases around odq_conv, set by odq_conv_float and
+  // OdqConvExecutor::run (zero from odq_conv itself): the quantize front
+  // end (input scan, activation and weight codes) and the dequantize + bias
+  // epilogue.
+  double quantize_seconds = 0.0;
+  double dequantize_seconds = 0.0;
 
   double sensitive_fraction() const {
     return outputs > 0
@@ -83,6 +89,8 @@ struct OdqLayerStats {
     pack_seconds += other.pack_seconds;
     gemm_seconds += other.gemm_seconds;
     sparse_epilogue_seconds += other.sparse_epilogue_seconds;
+    quantize_seconds += other.quantize_seconds;
+    dequantize_seconds += other.dequantize_seconds;
   }
 };
 

@@ -31,6 +31,9 @@ namespace odq::gemm {
 // the depth budget below keeps every int32 lane accumulation exact.
 static_assert(kKTile == simd::kKTileLanes,
               "packed depth quantum must match the SIMD lane block");
+// A GEMM task's filter block is exactly one register tile wide.
+static_assert(kOcTile == simd::kBlockFilters,
+              "filter block must match the SIMD tile width");
 
 namespace detail {
 
@@ -55,23 +58,30 @@ inline void check_operands(std::int64_t cols_k, std::int64_t cols_kp,
 //     (sum_p (cols.row(b,r)[p] >> ds) * (wts.row(f)[p] >> ds)) << shift,
 // accumulated in Acc, with ds = digit_shift. digit_shift 0 is the plain
 // full-code dot; the ODQ predictor passes N_LBS to multiply the high digits
-// of the same packed codes (simd::Kernels::dot_i8_high, exact in int32
-// within the depth budget, so the int64 instantiation widens its result).
+// of the same packed codes. Every output comes from the register-blocked
+// simd::Kernels::dot_block tile (exact in int32 within the depth budget),
+// except full-code dots in the int64 instantiation, which use the widening
+// dot_i8_acc64 so they stay exact past int32 headroom.
 // `out` must hold cols.batches * wts.oc * cols.rows elements. Parallel over
-// (batch, filter-block) tiles; each tile owns disjoint output planes.
+// (batch, filter-block) tiles; each tile owns disjoint output planes and
+// walks its rows in pairs. A short last filter block or an odd last row
+// repeats the last valid pointer and discards the duplicate outputs, so
+// there is one inner loop for every shape.
 template <typename Acc>
 void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
                    int shift, int digit_shift, Acc* out) {
   static_assert(std::is_same_v<Acc, std::int32_t> ||
                     std::is_same_v<Acc, std::int64_t>,
                 "gemm_conv_int: Acc must be int32 or int64");
+  constexpr int kRows = simd::kBlockRows;
+  constexpr int kFilters = simd::kBlockFilters;
   detail::check_operands(cols.k, cols.k_padded, wts.k, wts.k_padded,
                          digit_shift);
   const std::int64_t rows = cols.rows;
   const std::int64_t kp = cols.k_padded;
   const std::int64_t oc = wts.oc;
   const std::int64_t oc_blocks = (oc + kOcTile - 1) / kOcTile;
-  // One kernel-table fetch per call (not per dot): backend flips between
+  // One kernel-table fetch per call (not per tile): backend flips between
   // calls (tests, ODQ_SIMD) without an indirect branch in the MAC loop.
   // k_padded is a multiple of kKTile (16), so the kernels never handle a
   // tail; integer sums reassociate freely, so every backend stores the
@@ -83,22 +93,33 @@ void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
         for (std::int64_t t = t0; t < t1; ++t) {
           const std::int64_t b = t / oc_blocks;
           const std::int64_t f0 = (t % oc_blocks) * kOcTile;
-          const std::int64_t f1 = std::min(oc, f0 + kOcTile);
-          for (std::int64_t r0 = 0; r0 < rows; r0 += kRowTile) {
-            const std::int64_t r1 = std::min(rows, r0 + kRowTile);
-            for (std::int64_t r = r0; r < r1; ++r) {
-              const std::int8_t* a = cols.row(b, r);
-              for (std::int64_t f = f0; f < f1; ++f) {
-                const std::int8_t* wrow = wts.row(f);
-                Acc s;
-                if (digit_shift != 0) {
-                  s = kk.dot_i8_high(a, wrow, kp, digit_shift);
-                } else if constexpr (std::is_same_v<Acc, std::int64_t>) {
-                  s = kk.dot_i8_acc64(a, wrow, kp);
-                } else {
-                  s = kk.dot_i8(a, wrow, kp);
+          const std::int64_t nf = std::min(kOcTile, oc - f0);
+          const std::int8_t* w[kFilters];
+          for (int j = 0; j < kFilters; ++j) {
+            w[j] = wts.row(f0 + std::min<std::int64_t>(j, nf - 1));
+          }
+          Acc* dst = out + (b * oc + f0) * rows;
+          for (std::int64_t r = 0; r < rows; r += kRows) {
+            const std::int64_t nr = std::min<std::int64_t>(kRows, rows - r);
+            const std::int8_t* a[kRows] = {cols.row(b, r),
+                                           cols.row(b, r + nr - 1)};
+            Acc tile[kRows * kFilters];
+            if constexpr (std::is_same_v<Acc, std::int32_t>) {
+              kk.dot_block(a, w, kp, digit_shift, tile);
+            } else if (digit_shift == 0) {
+              for (int i = 0; i < kRows; ++i) {
+                for (int j = 0; j < kFilters; ++j) {
+                  tile[i * kFilters + j] = kk.dot_i8_acc64(a[i], w[j], kp);
                 }
-                out[(b * oc + f) * rows + r] = s << shift;
+              }
+            } else {
+              std::int32_t narrow[kRows * kFilters];
+              kk.dot_block(a, w, kp, digit_shift, narrow);
+              std::copy(narrow, narrow + kRows * kFilters, tile);
+            }
+            for (std::int64_t i = 0; i < nr; ++i) {
+              for (std::int64_t j = 0; j < nf; ++j) {
+                dst[j * rows + r + i] = tile[i * kFilters + j] << shift;
               }
             }
           }

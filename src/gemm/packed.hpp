@@ -20,7 +20,7 @@
 //     INT8 — no digit planes are ever stored. ODQ codes nest their high
 //     digit inside the full code (v == ((v >> L) << L) + (v & (2^L - 1))),
 //     so the predictor extracts I_HBS / W_HBS in-register with an
-//     arithmetic shift (simd::Kernels::dot_i8_high), and the Eq. (3)
+//     arithmetic shift (simd::Kernels::dot_block), and the Eq. (3)
 //     epilogue, being linear in the codes, is one full-code dot.
 //
 // Packing is lossless: unpack_im2col_i8 recovers exactly the im2col matrix
@@ -41,12 +41,16 @@ namespace odq::gemm {
 // src/simd/ kernel.
 inline constexpr std::int64_t kKTile = 16;
 
-// Output-pixel cache block: a GEMM task walks rows in blocks of this many
-// receptive fields so the filter panel stays hot in L1 across the block.
+// Output-pixel block of the im2col packers: one pack task writes this many
+// receptive-field rows of one batch element.
 inline constexpr std::int64_t kRowTile = 64;
 
-// Filters per register block: each packed column row is read once and
-// dotted against this many filter rows before moving on.
+// Filters per INT-GEMM task and per register tile: a task owns kOcTile
+// filter rows and walks every output pixel of one batch element in pairs.
+// The simd::Kernels::dot_block tile widens each of its 2 activation rows
+// and kOcTile filter rows once per 16-lane block and reuses them across all
+// 2 x kOcTile outputs. A last block with fewer filters repeats its last
+// filter row and drops the duplicate outputs.
 inline constexpr std::int64_t kOcTile = 4;
 
 inline std::int64_t pad_k(std::int64_t k) {

@@ -26,11 +26,31 @@ enum class WeightTransform {
 QTensor quantize_weights(const tensor::Tensor& w, int bits,
                          WeightTransform transform = WeightTransform::kLinear);
 
+// Elements per task of the parallel activation scan and code loop. A
+// batch-1 ResNet-20 input (at most 16,384 elements, at width 16) stays
+// inline on the caller, where a pool dispatch (~50 us) would cost more than
+// the whole loop; a batch-16 input (262,144 elements) splits into 8.
+inline constexpr std::int64_t kQuantizeGrain = std::int64_t{1} << 15;
+
+// One parallel pass over an activation tensor: whether every element is
+// finite, and the largest element, floored at 0 (NaN never wins the
+// comparison). Max is order-independent, so the result is identical at any
+// pool size. ODQ reads both from one scan: the degenerate-input check and,
+// without a percentile clip, the max calibration.
+struct ActivationRange {
+  bool finite = true;
+  float max = 0.0f;
+};
+ActivationRange activation_range(const tensor::Tensor& x);
+
 // Quantize activations (assumed >= 0 after ReLU; negatives are clipped) to
 // `bits` unsigned levels using per-tensor max calibration. If `clip` > 0 it
 // overrides the calibrated maximum (DoReFa uses a fixed clip of 1.0).
 // bits must be in [2,7] (codes are stored in int8); wider baselines use
-// fake_quantize_activations.
+// fake_quantize_activations. Each code is x / scale clamped to [0, qmax] in
+// float (values past the clip, however large, saturate at qmax) and then
+// rounded half-to-even inline — the codes std::nearbyint gives, without a
+// libm call. Parallel over kQuantizeGrain-element chunks.
 QTensor quantize_activations(const tensor::Tensor& x, int bits,
                              float clip = -1.0f);
 

@@ -11,7 +11,7 @@
 //     of kKTile (16), so vector loops never handle a remainder and scalar
 //     unrolls never need a tail.
 //   * Operands are full int8 codes — one packed plane per operand, no digit
-//     planes. dot_i8_high extracts the high digit v >> shift in-register;
+//     planes. dot_block extracts the high digit v >> shift in-register;
 //     products fit int16 (|a*b| <= 128*128 = 2^14) and the int32
 //     accumulators have headroom for any depth this library reaches (see
 //     kMaxDotBlocks below).
@@ -55,22 +55,28 @@ using DotI8Fn = std::int32_t (*)(const std::int8_t* a, const std::int8_t* b,
 using DotI8Acc64Fn = std::int64_t (*)(const std::int8_t* a,
                                       const std::int8_t* b, std::int64_t kp);
 
-// The ODQ predictor dot over the high digits of full codes:
-//   sum_p (a[p] >> shift) * (b[p] >> shift)   (arithmetic shifts),
-// i.e. the I_HBS x W_HBS term of Eq. (3) with N_LBS = shift, read from the
-// same code plane the full-code dot reads. Contract: 1 <= shift <= 7 (a
-// shift of 0 is plain dot_i8). A shifted digit satisfies |a >> s| <= 64, so
-// every product stays below the int8 x int8 bound and kMaxDotDepth holds.
-using DotI8HighFn = std::int32_t (*)(const std::int8_t* a,
-                                     const std::int8_t* b, std::int64_t kp,
-                                     int shift);
+// The register-blocked GEMM kernel: a 2-row x 4-filter tile of digit dots
+//   out[i * kBlockFilters + j] = sum_p (a[i][p] >> shift) * (b[j][p] >> shift)
+// (arithmetic shifts) for rows i in [0, 2) and filters j in [0, 4). With
+// shift = N_LBS it is the I_HBS x W_HBS term of Eq. (3), read from the same
+// code plane the full-code dot reads; shift 0 is the full-code dot itself.
+// Contract: 0 <= shift <= 7. A shifted digit satisfies |a >> s| <= 128, so
+// every product stays within the int8 x int8 bound and kMaxDotDepth holds.
+// Each operand row is widened (and shifted) once per lane block and reused
+// across the whole tile; callers with fewer than 2 rows or 4 filters repeat
+// the last valid pointer and discard the duplicate outputs.
+inline constexpr int kBlockRows = 2;
+inline constexpr int kBlockFilters = 4;
+using DotBlockFn = void (*)(const std::int8_t* const* a,
+                            const std::int8_t* const* b, std::int64_t kp,
+                            int shift, std::int32_t* out);
 
 // One backend's kernel table.
 struct Kernels {
   const char* name;
   DotI8Fn dot_i8;
   DotI8Acc64Fn dot_i8_acc64;
-  DotI8HighFn dot_i8_high;
+  DotBlockFn dot_block;
 };
 
 // The always-available scalar reference (kernels_scalar.cpp).

@@ -15,10 +15,13 @@
 //      edge of the maddubs-style tricks never applies,
 //   4. accumulate the int32 lanes (or widen each block's lanes to int64 for
 //      the acc64 kernel, which must stay exact past int32 headroom).
-// The predictor kernel (dot_i8_high) inserts one _mm256_sra_epi16 per
-// operand between steps 2 and 3: the arithmetic shift of the sign-extended
-// int16 lanes is exactly v >> shift, so the high digits come out of the
-// one full-code plane without a second packed copy.
+// The GEMM block kernel (dot_block) inserts one _mm256_sra_epi16 per
+// operand row between steps 2 and 3: the arithmetic shift of the
+// sign-extended int16 lanes is exactly v >> shift, so the high digits come
+// out of the one full-code plane without a second packed copy. It widens
+// each of its 2 activation rows and 4 filter rows once per block and feeds
+// 8 madds into 8 tile accumulators, so a widened operand serves 2 or 4
+// outputs instead of one.
 // Integer addition is associative, so the lane-parallel accumulation is
 // bit-identical to the scalar reference for every input.
 #include "simd/kernels.hpp"
@@ -80,41 +83,62 @@ std::int64_t dot_i8_acc64_avx2(const std::int8_t* a, const std::int8_t* b,
          _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
 }
 
-// Predictor block: the same widen + madd with an arithmetic shift of the
-// int16 lanes in between, so the high digits never leave the register.
-inline __m256i madd_high_block(const std::int8_t* a, const std::int8_t* b,
-                               __m128i count) {
-  const __m256i a16 = _mm256_sra_epi16(
+// One operand row of a lane block: 16 int8 codes widened to int16 and
+// shifted arithmetically, so the high digits never leave the register (a
+// shift of 0 leaves the codes as they are).
+inline __m256i widen_block(const std::int8_t* p, __m128i count) {
+  return _mm256_sra_epi16(
       _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(a))),
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))),
       count);
-  const __m256i b16 = _mm256_sra_epi16(
-      _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b))),
-      count);
-  return _mm256_madd_epi16(a16, b16);
 }
 
-std::int32_t dot_i8_high_avx2(const std::int8_t* a, const std::int8_t* b,
-                              std::int64_t kp, int shift) {
+// Reduces one tile row's four filter accumulators to their four int32 sums:
+// two hadd levels leave [s0 s1 s2 s3] in each 128-bit half, which one add
+// folds together.
+inline void store_row(__m256i f0, __m256i f1, __m256i f2, __m256i f3,
+                      std::int32_t* out) {
+  const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(f0, f1),
+                                      _mm256_hadd_epi32(f2, f3));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                   _mm_add_epi32(_mm256_castsi256_si128(h),
+                                 _mm256_extracti128_si256(h, 1)));
+}
+
+// 2 x 4 tile in 8 accumulators: per lane block, each of the 2 activation
+// rows and 4 filter rows is widened and shifted once, then 8 madds. 14 of
+// the 16 ymm registers are live in the loop.
+void dot_block_avx2(const std::int8_t* const* a, const std::int8_t* const* b,
+                    std::int64_t kp, int shift, std::int32_t* out) {
   const __m128i count = _mm_cvtsi32_si128(shift);
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  std::int64_t p = 0;
-  for (; p + 2 * kKTileLanes <= kp; p += 2 * kKTileLanes) {
-    acc0 = _mm256_add_epi32(acc0, madd_high_block(a + p, b + p, count));
-    acc1 = _mm256_add_epi32(
-        acc1, madd_high_block(a + p + kKTileLanes, b + p + kKTileLanes,
-                              count));
+  const std::int8_t *a0 = a[0], *a1 = a[1];
+  const std::int8_t *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
+  __m256i c00 = _mm256_setzero_si256(), c01 = _mm256_setzero_si256();
+  __m256i c02 = _mm256_setzero_si256(), c03 = _mm256_setzero_si256();
+  __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
+  __m256i c12 = _mm256_setzero_si256(), c13 = _mm256_setzero_si256();
+  for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
+    const __m256i x0 = widen_block(a0 + p, count);
+    const __m256i x1 = widen_block(a1 + p, count);
+    __m256i w = widen_block(b0 + p, count);
+    c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(x0, w));
+    c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(x1, w));
+    w = widen_block(b1 + p, count);
+    c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(x0, w));
+    c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(x1, w));
+    w = widen_block(b2 + p, count);
+    c02 = _mm256_add_epi32(c02, _mm256_madd_epi16(x0, w));
+    c12 = _mm256_add_epi32(c12, _mm256_madd_epi16(x1, w));
+    w = widen_block(b3 + p, count);
+    c03 = _mm256_add_epi32(c03, _mm256_madd_epi16(x0, w));
+    c13 = _mm256_add_epi32(c13, _mm256_madd_epi16(x1, w));
   }
-  if (p < kp) {
-    acc0 = _mm256_add_epi32(acc0, madd_high_block(a + p, b + p, count));
-  }
-  return hsum_epi32(_mm256_add_epi32(acc0, acc1));
+  store_row(c00, c01, c02, c03, out);
+  store_row(c10, c11, c12, c13, out + kBlockFilters);
 }
 
 constexpr Kernels kAvx2Kernels = {"avx2", dot_i8_avx2, dot_i8_acc64_avx2,
-                                  dot_i8_high_avx2};
+                                  dot_block_avx2};
 
 }  // namespace
 

@@ -50,13 +50,13 @@ std::int64_t dot_i8_acc64_neon(const std::int8_t* a, const std::int8_t* b,
   return vaddvq_s64(acc);
 }
 
-// Predictor dot: widen each operand to int16 (vmovl_s8), shift the lanes
-// right by `shift` (vshlq_s16 by a negative count is an arithmetic right
-// shift), then multiply-accumulate the int16 digits into 4 x int32 lanes
-// (vmlal_s16). Each block adds 4 products of |digit| <= 64 per lane, well
-// inside the kMaxDotBlocks budget.
-std::int32_t dot_i8_high_neon(const std::int8_t* a, const std::int8_t* b,
-                              std::int64_t kp, int shift) {
+// Digit dot: widen each operand to int16 (vmovl_s8), shift the lanes right
+// by `shift` (vshlq_s16 by a negative count is an arithmetic right shift; a
+// count of 0 leaves the codes as they are), then multiply-accumulate the
+// int16 digits into 4 x int32 lanes (vmlal_s16). Each block adds at most
+// 4 * 2^14 = 2^16 per lane, the same bound as dot_i8_neon above.
+std::int32_t dot_digits_neon(const std::int8_t* a, const std::int8_t* b,
+                             std::int64_t kp, int shift) {
   const int16x8_t neg = vdupq_n_s16(static_cast<std::int16_t>(-shift));
   int32x4_t acc = vdupq_n_s32(0);
   for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
@@ -74,8 +74,18 @@ std::int32_t dot_i8_high_neon(const std::int8_t* a, const std::int8_t* b,
   return vaddvq_s32(acc);
 }
 
+// The 2 x 4 tile built from the single digit dot, one call per output.
+void dot_block_neon(const std::int8_t* const* a, const std::int8_t* const* b,
+                    std::int64_t kp, int shift, std::int32_t* out) {
+  for (int i = 0; i < kBlockRows; ++i) {
+    for (int j = 0; j < kBlockFilters; ++j) {
+      out[i * kBlockFilters + j] = dot_digits_neon(a[i], b[j], kp, shift);
+    }
+  }
+}
+
 constexpr Kernels kNeonKernels = {"neon", dot_i8_neon, dot_i8_acc64_neon,
-                                  dot_i8_high_neon};
+                                  dot_block_neon};
 
 }  // namespace
 

@@ -1,9 +1,9 @@
 // Scalar reference kernels — the always-available fallback and the oracle
 // every vector backend is differentially tested against.
 //
-// The 4-wide unroll mirrors the original gemm_conv_int inner loop (kp is a
-// multiple of kKTile = 16, so there is never a tail); integer sums
-// reassociate freely, so the unroll order is irrelevant to the result.
+// The dot kernels' 4-wide unroll mirrors the original gemm_conv_int inner
+// loop (kp is a multiple of kKTile = 16, so there is never a tail); integer
+// sums reassociate freely, so the unroll order is irrelevant to the result.
 #include "simd/kernels.hpp"
 
 namespace odq::simd {
@@ -34,20 +34,22 @@ std::int64_t dot_i8_acc64_scalar(const std::int8_t* a, const std::int8_t* b,
   return (s0 + s1) + (s2 + s3);
 }
 
-std::int32_t dot_i8_high_scalar(const std::int8_t* a, const std::int8_t* b,
-                                std::int64_t kp, int shift) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::int64_t p = 0; p < kp; p += 4) {
-    s0 += (a[p] >> shift) * (b[p] >> shift);
-    s1 += (a[p + 1] >> shift) * (b[p + 1] >> shift);
-    s2 += (a[p + 2] >> shift) * (b[p + 2] >> shift);
-    s3 += (a[p + 3] >> shift) * (b[p + 3] >> shift);
+// The plain loop: one running sum per tile output.
+void dot_block_scalar(const std::int8_t* const* a, const std::int8_t* const* b,
+                      std::int64_t kp, int shift, std::int32_t* out) {
+  for (int i = 0; i < kBlockRows; ++i) {
+    for (int j = 0; j < kBlockFilters; ++j) {
+      std::int32_t s = 0;
+      for (std::int64_t p = 0; p < kp; ++p) {
+        s += (a[i][p] >> shift) * (b[j][p] >> shift);
+      }
+      out[i * kBlockFilters + j] = s;
+    }
   }
-  return (s0 + s1) + (s2 + s3);
 }
 
 constexpr Kernels kScalarKernels = {"scalar", dot_i8_scalar,
-                                    dot_i8_acc64_scalar, dot_i8_high_scalar};
+                                    dot_i8_acc64_scalar, dot_block_scalar};
 
 }  // namespace
 

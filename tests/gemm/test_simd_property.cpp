@@ -96,7 +96,7 @@ TEST(SimdProperty, OdqPipelineBitwiseEqualAcrossBackends) {
 }
 
 // Bare packed INT-GEMM across backends, both as the full-code dot and as
-// the digit-shifted ODQ predictor (dot_i8_high at every shift 1..7). 60
+// the digit-shifted ODQ predictor (dot_block at every shift 1..7). 60
 // cases.
 TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
   const std::vector<Backend> vecs = vector_backends();

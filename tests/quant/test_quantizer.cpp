@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
@@ -112,6 +113,27 @@ TEST(QuantizeActivations, ClipOverridesCalibration) {
   QTensor q = quantize_activations(x, 4, /*clip=*/1.0f);
   EXPECT_FLOAT_EQ(q.scale, 1.0f / 15.0f);
   EXPECT_EQ(q.q[1], 15);  // clipped to max code
+}
+
+// Regression: values far past the clip used to reach the float -> int32
+// cast unclamped. Past 2^31 that cast is undefined (x86 gives INT_MIN, which
+// then clamped to code 0), so the largest outliers quantized to 0. The code
+// loop clamps in float first, so every outlier saturates at qmax.
+TEST(QuantizeActivations, OutliersBeyondInt32SaturateToQmax) {
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor x(Shape{5}, std::vector<float>{0.9375f, 3e9f, 1e20f, 3e38f, inf});
+  // clip 1.875 = 15 * 0.125: an exact scale, so 0.9375 is the code 7.5.
+  const QTensor q = quantize_activations(x, 4, /*clip=*/1.875f);
+  ASSERT_EQ(q.scale, 0.125f);
+  EXPECT_EQ(q.q[0], 8);  // the tie rounds to even
+  for (std::int64_t i = 1; i < x.numel(); ++i) {
+    EXPECT_EQ(q.q[i], 15) << "x=" << x[i];
+  }
+  // NaN clamps to the bottom code, not through an undefined cast; a run of
+  // 16 takes the vector path, the odd one the scalar tail.
+  Tensor nan(Shape{17}, std::numeric_limits<float>::quiet_NaN());
+  const QTensor qn = quantize_activations(nan, 4, /*clip=*/1.875f);
+  for (std::int64_t i = 0; i < nan.numel(); ++i) EXPECT_EQ(qn.q[i], 0);
 }
 
 TEST(QuantizeSigned, SymmetricRange) {

@@ -8,11 +8,13 @@
 //     every possible residue against the 16-lane block, padded exactly the
 //     way gemm/packed.hpp pads,
 //   * saturating code values at both signs — ±127/-128 full-code extremes,
-//     also through the in-register digit shift of dot_i8_high at every
-//     shift 1..7 — the inputs a maddubs-style saturation, sign-extension or
+//     also through the 2 x 4 block kernel dot_block at every digit shift
+//     0..7 — the inputs a maddubs-style saturation, sign-extension or
 //     logical-vs-arithmetic shift mistake would corrupt,
-//   * tile straddles — out-channel counts around kOcTile and row counts
-//     around kRowTile through the full gemm_conv_int tiling,
+//   * tile straddles — out-channel counts around kOcTile, odd and even row
+//     counts (the block kernel's row-pair tail) through the full
+//     gemm_conv_int tiling, and odd output maps and filter counts of 6 and
+//     10 through gemm_conv_i8 against the quant::conv2d_i8 direct conv,
 //   * zero-length and full-length compacted sensitive lists through
 //     sparse_result_generation.
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "gemm/gemm.hpp"
 #include "gemm/packed.hpp"
 #include "gemm/sparse_epilogue.hpp"
+#include "quant/quantizer.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
@@ -156,37 +159,71 @@ TEST_P(SimdKernels, DotMatchesOracleAcrossLaneBoundaryDepths) {
   }
 }
 
-// The predictor kernel over full codes: every shift in the 1..7 contract,
-// every lane-boundary depth, saturating fills at both signs (-128 is the
-// one code whose digit reaches -64) plus seeded random codes.
-TEST_P(SimdKernels, HighDigitDotMatchesOracle) {
+// The 2 x 4 GEMM block kernel over full codes: every shift in the 0..7
+// contract (0 is the full-code dot), every lane-boundary depth, the hostile
+// fills spread over the tile's 2 rows and 4 filters (-128 is the one code
+// whose digit reaches -64) plus seeded random codes. Each of the 8 outputs
+// must equal the floor-division oracle and the scalar backend's tile.
+TEST_P(SimdKernels, BlockKernelMatchesOracle) {
   const Kernels& kk = active_kernels();
+  const auto& fills = hostile_fills();
+  const auto nfill = static_cast<std::int64_t>(fills.size());
   util::Rng rng(11);
-  for (int shift = 1; shift <= 7; ++shift) {
+  using Operand = std::vector<std::int8_t>;
+  auto check_tile = [&](const Operand (&rows)[kBlockRows],
+                        const Operand (&filters)[kBlockFilters],
+                        std::int64_t kp, int shift) {
+    const std::int8_t* a[kBlockRows];
+    const std::int8_t* b[kBlockFilters];
+    for (int i = 0; i < kBlockRows; ++i) a[i] = rows[i].data();
+    for (int j = 0; j < kBlockFilters; ++j) b[j] = filters[j].data();
+    std::int32_t got[kBlockRows * kBlockFilters];
+    std::int32_t scalar[kBlockRows * kBlockFilters];
+    kk.dot_block(a, b, kp, shift, got);
+    scalar_kernels().dot_block(a, b, kp, shift, scalar);
+    for (int i = 0; i < kBlockRows; ++i) {
+      for (int j = 0; j < kBlockFilters; ++j) {
+        const int o = i * kBlockFilters + j;
+        ASSERT_EQ(got[o], oracle_dot_high(a[i], b[j], kp, shift))
+            << "row " << i << " filter " << j;
+        ASSERT_EQ(got[o], scalar[o]) << "row " << i << " filter " << j;
+      }
+    }
+  };
+  for (int shift = 0; shift <= 7; ++shift) {
     for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
       const std::int64_t kp = pad_k(k);
-      for (const auto& [aname, afill] : hostile_fills()) {
-        for (const auto& [bname, bfill] : hostile_fills()) {
-          const auto a = padded_operand(k, afill);
-          const auto b = padded_operand(k, bfill);
+      for (std::int64_t fa = 0; fa < nfill; ++fa) {
+        for (std::int64_t fb = 0; fb < nfill; ++fb) {
+          Operand rows[kBlockRows];
+          Operand filters[kBlockFilters];
+          for (int i = 0; i < kBlockRows; ++i) {
+            rows[i] = padded_operand(
+                k, fills[static_cast<std::size_t>((fa + i) % nfill)].second);
+          }
+          for (int j = 0; j < kBlockFilters; ++j) {
+            filters[j] = padded_operand(
+                k, fills[static_cast<std::size_t>((fb + j) % nfill)].second);
+          }
           SCOPED_TRACE("shift=" + std::to_string(shift) + " K=" +
-                       std::to_string(k) + " a=" + aname + " b=" + bname);
-          ASSERT_EQ(kk.dot_i8_high(a.data(), b.data(), kp, shift),
-                    oracle_dot_high(a.data(), b.data(), kp, shift));
+                       std::to_string(k) + " a=" +
+                       fills[static_cast<std::size_t>(fa)].first + ".. b=" +
+                       fills[static_cast<std::size_t>(fb)].first + "..");
+          check_tile(rows, filters, kp, shift);
         }
       }
       for (int rep = 0; rep < 4; ++rep) {
-        const auto a = padded_operand(k, [&](std::int64_t) {
+        auto random_code = [&](std::int64_t) {
           return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-        });
-        const auto b = padded_operand(k, [&](std::int64_t) {
-          return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-        });
+        };
+        Operand rows[kBlockRows];
+        Operand filters[kBlockFilters];
+        for (auto& r : rows) r = padded_operand(k, random_code);
+        for (auto& f : filters) f = padded_operand(k, random_code);
         SCOPED_TRACE("shift=" + std::to_string(shift) + " K=" +
                      std::to_string(k) + " random rep " +
                      std::to_string(rep));
-        ASSERT_EQ(kk.dot_i8_high(a.data(), b.data(), kp, shift),
-                  oracle_dot_high(a.data(), b.data(), kp, shift));
+        check_tile(rows, filters, kp, shift);
       }
     }
   }
@@ -263,6 +300,51 @@ TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
                 << "b=" << b << " f=" << f << " r=" << r;
           }
         }
+      }
+    }
+  }
+}
+
+// Real conv geometry through the tile tails: a 7x7 output map (49 rows, so
+// the last row pair repeats its row) and 6 or 10 filters (the last filter
+// block repeats its last filter), at every digit shift, against the
+// quant::conv2d_i8 direct conv of the shifted codes.
+TEST_P(SimdKernels, GemmConvOddRowsAndFilterTailsMatchDirectConv) {
+  util::Rng rng(29);
+  for (const std::int64_t oc : {std::int64_t{6}, std::int64_t{10}}) {
+    TensorI8 x(Shape{2, 3, 7, 7});
+    TensorI8 w(Shape{oc, 3, 3, 3});
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      x[i] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    }
+    for (std::int64_t i = 0; i < w.numel(); ++i) {
+      w[i] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    }
+    const gemm::PackedIm2col cols = gemm::pack_im2col_i8(x, 3, 3, 1, 1);
+    const gemm::PackedWeights wts = gemm::pack_weights_i8(w);
+    ASSERT_EQ(cols.rows, 49);
+    for (int ds = 0; ds <= 7; ++ds) {
+      TensorI8 xh(x.shape());
+      TensorI8 wh(w.shape());
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        xh[i] = static_cast<std::int8_t>(x[i] >> ds);
+      }
+      for (std::int64_t i = 0; i < w.numel(); ++i) {
+        wh[i] = static_cast<std::int8_t>(w[i] >> ds);
+      }
+      const TensorI32 want = quant::conv2d_i8(xh, wh, 1, 1);
+      const int shift = 2 * (ds % 3);
+      const TensorI32 got = gemm::gemm_conv_i8(cols, wts, shift, ds);
+      std::vector<std::int64_t> got64(static_cast<std::size_t>(want.numel()));
+      gemm::gemm_conv_int<std::int64_t>(cols, wts, shift, ds, got64.data());
+      SCOPED_TRACE("oc=" + std::to_string(oc) + " digit_shift=" +
+                   std::to_string(ds));
+      ASSERT_EQ(got.shape(), want.shape());
+      for (std::int64_t i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(got[i], want[i] << shift) << "output " << i;
+        ASSERT_EQ(got64[static_cast<std::size_t>(i)],
+                  static_cast<std::int64_t>(want[i]) << shift)
+            << "output " << i;
       }
     }
   }

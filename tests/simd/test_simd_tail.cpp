@@ -7,7 +7,8 @@
 // garbage while the other operand's pads stay zero — and asserts both the
 // digit-shifted predictor GEMM and the full-code Eq. (3) sparse epilogue,
 // which read the same single packed plane, still produce bit-identical
-// accumulators, masks, compacted lists, and MAC counters, per backend. A
+// accumulators, masks, compacted lists, and MAC counters, per backend; the
+// 2 x 4 block kernel is also checked directly at every digit shift. A
 // kernel that read past k_padded, mis-stepped blocks, or depended on both
 // pads being zero would fail here.
 #include <gtest/gtest.h>
@@ -181,6 +182,47 @@ TEST_P(SimdTailGuard, GarbageBeyondValidDepthIsIgnoredIdentically) {
       gemm::gemm_conv_int<std::int64_t>(dirty_cols, wts, 2 * digit_shift,
                                         digit_shift, dirty64.data());
       ASSERT_EQ(clean64, dirty64) << "digit_shift=" << digit_shift;
+    }
+  }
+
+  // The block kernel itself, at every digit shift: each 2 x 4 tile over
+  // poisoned activation rows against clean filter rows (and the reverse)
+  // must equal the clean tile. Row pairs and filter quads wrap around the
+  // operand counts, so the tiles also mix first and last rows and filters.
+  {
+    gemm::PackedIm2col dirty_cols = cols;
+    poison_cols(dirty_cols);
+    gemm::PackedWeights dirty_wts = wts;
+    poison_weights(dirty_wts);
+    const Kernels& kk = active_kernels();
+    constexpr int kTile = kBlockRows * kBlockFilters;
+    for (int shift = 0; shift <= 7; ++shift) {
+      for (std::int64_t r = 0; r < cols.rows; r += kBlockRows) {
+        for (std::int64_t f = 0; f < wts.oc; ++f) {
+          const std::int8_t* a[kBlockRows];
+          const std::int8_t* da[kBlockRows];
+          const std::int8_t* b[kBlockFilters];
+          const std::int8_t* db[kBlockFilters];
+          for (int i = 0; i < kBlockRows; ++i) {
+            a[i] = cols.row(1, (r + i) % cols.rows);
+            da[i] = dirty_cols.row(1, (r + i) % cols.rows);
+          }
+          for (int j = 0; j < kBlockFilters; ++j) {
+            b[j] = wts.row((f + j) % wts.oc);
+            db[j] = dirty_wts.row((f + j) % wts.oc);
+          }
+          std::int32_t clean[kTile], dirty_a[kTile], dirty_b[kTile];
+          kk.dot_block(a, b, cols.k_padded, shift, clean);
+          kk.dot_block(da, b, cols.k_padded, shift, dirty_a);
+          kk.dot_block(a, db, cols.k_padded, shift, dirty_b);
+          for (int o = 0; o < kTile; ++o) {
+            ASSERT_EQ(clean[o], dirty_a[o])
+                << "shift=" << shift << " r=" << r << " f=" << f;
+            ASSERT_EQ(clean[o], dirty_b[o])
+                << "shift=" << shift << " r=" << r << " f=" << f;
+          }
+        }
+      }
     }
   }
 }

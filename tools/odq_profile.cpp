@@ -221,13 +221,16 @@ int tool_main(int argc, char** argv) {
       w.kv("sensitive_fraction", stats.sensitive_fraction());
       w.kv("predictor_macs", stats.predictor_macs);
       w.kv("executor_macs", stats.executor_macs);
-      // Phase breakdown of the packed-GEMM pipeline (core/odq.cpp):
-      // packing of the one int8 code plane, predictor INT-GEMM, mask-aware
-      // sparse result generation. Sums to less than wall_seconds; the
-      // remainder is quantize/dequantize and executor overhead.
+      // Phase breakdown of the conv (core/odq.cpp): the quantize front end
+      // (input scan, activation and weight codes), packing of the one int8
+      // code plane, predictor INT-GEMM, mask-aware sparse result
+      // generation, and dequantize + bias. Sums to less than wall_seconds;
+      // the remainder is executor overhead.
+      w.kv("quantize_seconds", stats.quantize_seconds);
       w.kv("pack_seconds", stats.pack_seconds);
       w.kv("gemm_seconds", stats.gemm_seconds);
       w.kv("sparse_epilogue_seconds", stats.sparse_epilogue_seconds);
+      w.kv("dequantize_seconds", stats.dequantize_seconds);
       w.kv("bytes_moved", bytes);
       w.end_object();
     }
@@ -259,19 +262,22 @@ int tool_main(int argc, char** argv) {
       std::fprintf(stderr, "simd backend: %s\n",
                    simd::backend_name(simd::active_backend()));
       std::fprintf(stderr,
-                   "%-8s %5s %10s %8s %9s %9s %9s %12s %12s %10s\n", "layer",
-                   "calls", "wall ms", "sens %", "pack ms", "gemm ms",
-                   "spars ms", "pred MACs", "exec MACs", "KB moved");
+                   "%-8s %5s %10s %8s %9s %9s %9s %9s %9s %12s %12s %10s\n",
+                   "layer", "calls", "wall ms", "sens %", "quant ms",
+                   "pack ms", "gemm ms", "spars ms", "deq ms", "pred MACs",
+                   "exec MACs", "KB moved");
       for (const auto& [conv_id, prof] : exec->profiles()) {
         const core::OdqLayerStats stats = odq_exec.layer_stats(conv_id);
         std::fprintf(stderr,
-                     "conv%-4d %5lld %10.3f %7.1f%% %9.3f %9.3f %9.3f %12lld "
-                     "%12lld %10.1f\n",
+                     "conv%-4d %5lld %10.3f %7.1f%% %9.3f %9.3f %9.3f %9.3f "
+                     "%9.3f %12lld %12lld %10.1f\n",
                      conv_id, static_cast<long long>(prof.calls),
                      prof.wall_seconds * 1e3,
                      100.0 * stats.sensitive_fraction(),
-                     stats.pack_seconds * 1e3, stats.gemm_seconds * 1e3,
+                     stats.quantize_seconds * 1e3, stats.pack_seconds * 1e3,
+                     stats.gemm_seconds * 1e3,
                      stats.sparse_epilogue_seconds * 1e3,
+                     stats.dequantize_seconds * 1e3,
                      static_cast<long long>(stats.predictor_macs),
                      static_cast<long long>(stats.executor_macs),
                      layer_bytes_moved(prof) / 1024.0);
