@@ -5,8 +5,8 @@
 #include <stdexcept>
 
 #include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
 #include "gemm/sparse_epilogue.hpp"
+#include "gemm/window.hpp"
 #include "nn/epilogue.hpp"
 #include "obs/fidelity.hpp"
 #include "obs/telemetry.hpp"
@@ -156,8 +156,8 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
   res.scale = input.scale * weight.scale;
   {
     ODQ_TRACE_SPAN("odq.predictor");
-    // Direct (non-packed) integer conv: the reference path must stay an
-    // independent oracle for the packed-GEMM pipeline, so it shares no code
+    // Direct (non-GEMM) integer conv: the reference path must stay an
+    // independent oracle for the implicit-GEMM pipeline, so it shares no code
     // with it.
     res.predictor_acc =
         quant::conv2d_i8(in_split.high, w_split.high, stride, pad);
@@ -167,7 +167,7 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
   }
 
   // Threshold -> bit mask, plus the compacted per-tile index lists the
-  // packed path emits (ascending by construction here too).
+  // window path emits (ascending by construction here too).
   res.mask = TensorU8(Shape{n, oc, oh, ow});
   res.sensitive_per_channel.assign(static_cast<std::size_t>(oc), 0);
   res.sensitive_lists.batches = n;
@@ -267,16 +267,20 @@ OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
   OdqConvResult res;
   res.scale = input.scale * weight.scale;
 
-  // Step 2 needs no pass of its own: the pipeline packs the same single
-  // int8 code plane and filter panel as static INT8 (gemm/packed.hpp), and
-  // the kernels take the digits apart in-register.
-  gemm::PackedIm2col cols;
-  gemm::PackedWeights wts;
+  // Step 2 needs no pass of its own: the pipeline copies the codes once
+  // into a zero-bordered NHWC window and packs a tap-major filter panel
+  // (gemm/window.hpp); the predictor and the epilogue read their rows in
+  // place, and the kernels take the digits apart in-register. The window's
+  // storage stays with the calling thread from one conv to the next.
+  thread_local std::vector<std::int8_t> window_storage;
+  gemm::CodeWindow win;
+  gemm::FilterPanel wts;
   {
     ODQ_TRACE_SPAN("odq.pack");
     util::WallTimer timer;
-    cols = gemm::pack_im2col_i8(input.q, kh, kw, stride, pad);
-    wts = gemm::pack_weights_i8(weight.q);
+    win = gemm::build_code_window(input.q, kh, kw, stride, pad,
+                                  window_storage);
+    wts = gemm::pack_filter_panel(weight.q);
     res.stats.pack_seconds = timer.seconds();
   }
 
@@ -286,7 +290,7 @@ OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
   {
     ODQ_TRACE_SPAN("odq.gemm");
     util::WallTimer timer;
-    res.predictor_acc = gemm::gemm_conv_i8(cols, wts, 2 * lb, lb);
+    res.predictor_acc = gemm::gemm_conv_i8(win, wts, 2 * lb, lb);
     res.stats.gemm_seconds = timer.seconds();
   }
 
@@ -299,9 +303,8 @@ OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
     res.acc = res.predictor_acc;
     res.mask = TensorU8(Shape{n, oc, oh, ow});
     res.sensitive_per_channel.assign(static_cast<std::size_t>(oc), 0);
-    const gemm::ConvShape geom{c, h, w, kh, kw, stride, pad};
     es = gemm::sparse_result_generation(
-        cols, wts, geom, res.predictor_acc, res.scale, cfg.threshold, res.acc,
+        win, wts, res.predictor_acc, res.scale, cfg.threshold, res.acc,
         res.mask, res.sensitive_per_channel, res.sensitive_lists);
     res.stats.sparse_epilogue_seconds = timer.seconds();
     span.arg("sensitive", es.sensitive);

@@ -13,8 +13,8 @@
 //   5. Final output = predictor partial sums + executor remainders,
 //      dequantized with the combined input*weight scale (+ bias).
 //
-// odq_conv realizes steps 2-5 on one packed code plane: the predictor
-// shifts the high digits out in-register, and since the four Eq. (3) terms
+// odq_conv realizes steps 2-5 on one code window (gemm/window.hpp): the
+// predictor shifts the high digits out in-register, and since the four Eq. (3) terms
 // sum to the full product, a sensitive output's final accumulator is the
 // full-code dot (gemm/sparse_epilogue.hpp). odq_conv_reference performs the
 // explicit split and recombination as the independent oracle.
@@ -60,9 +60,9 @@ struct OdqLayerStats {
   std::int64_t sensitive = 0;
   std::int64_t predictor_macs = 0;  // INT2 MACs (every output)
   std::int64_t executor_macs = 0;   // remaining MACs (sensitive outputs only)
-  // Phase wall time of the packed-GEMM pipeline (zero on the serial
-  // reference path, which has no pack/GEMM phases): packing the one int8
-  // code plane and filter panel, predictor INT-GEMM, and mask-aware sparse
+  // Phase wall time of the implicit-GEMM pipeline (zero on the serial
+  // reference path, which has no pack/GEMM phases): building the code
+  // window and filter panel, predictor INT-GEMM, and mask-aware sparse
   // result generation. Additive across calls, like the MAC counters.
   double pack_seconds = 0.0;
   double gemm_seconds = 0.0;
@@ -78,6 +78,28 @@ struct OdqLayerStats {
     return outputs > 0
                ? static_cast<double>(sensitive) / static_cast<double>(outputs)
                : 0.0;
+  }
+
+  // Host cost per MAC of the two ODQ stages, in ns: predictor GEMM time per
+  // predictor MAC and Eq. (3) epilogue time per executor MAC (0 when the
+  // stage counted no MACs). Comparable with the paper's cycle model, 1
+  // cycle per INT2 MAC and 3 for the remainder.
+  double ns_per_predictor_mac() const {
+    return predictor_macs > 0
+               ? gemm_seconds * 1e9 / static_cast<double>(predictor_macs)
+               : 0.0;
+  }
+  double ns_per_executor_mac() const {
+    return executor_macs > 0 ? sparse_epilogue_seconds * 1e9 /
+                                   static_cast<double>(executor_macs)
+                             : 0.0;
+  }
+
+  // Sum of the five timed phases; a caller's conv wall time minus this is
+  // the unattributed remainder.
+  double phase_seconds() const {
+    return quantize_seconds + pack_seconds + gemm_seconds +
+           sparse_epilogue_seconds + dequantize_seconds;
   }
 
   void merge(const OdqLayerStats& other) {
@@ -111,7 +133,7 @@ struct OdqConvResult {
 
 // Core integer pipeline on already-quantized tensors. `input` must be an
 // unsigned QTensor with `cfg.total_bits` bits, `weight` a signed one.
-// Packs one int8 code plane and one filter panel, then runs the predictor
+// Builds one code window and one filter panel, then runs the predictor
 // GEMM and the fused mask+executor passes tiled over (batch, out-channel)
 // on the global thread pool (serially when called from a pool worker).
 OdqConvResult odq_conv(const quant::QTensor& input,
@@ -120,7 +142,7 @@ OdqConvResult odq_conv(const quant::QTensor& input,
 
 // Serial scalar reference for odq_conv: explicit bit split, direct conv,
 // separate mask and result-generation passes, no tiling, no pool. It shares
-// no code with the packed path and is called only as an oracle (tests,
+// no code with the window path and is called only as an oracle (tests,
 // benches); tests/core/test_odq_parallel.cpp asserts bit-exact agreement.
 OdqConvResult odq_conv_reference(const quant::QTensor& input,
                                  const quant::QTensor& weight,

@@ -8,16 +8,18 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::TensorI32;
 
-TensorI32 gemm_conv_i8(const PackedIm2col& cols, const PackedWeights& wts,
+TensorI32 gemm_conv_i8(const CodeWindow& win, const FilterPanel& wts,
                        int shift, int digit_shift) {
-  TensorI32 out(Shape{cols.batches, wts.oc, cols.oh, cols.ow});
-  gemm_conv_int<std::int32_t>(cols, wts, shift, digit_shift, out.data());
+  TensorI32 out(Shape{win.batches, wts.oc, win.oh, win.ow});
+  gemm_conv_int<std::int32_t>(win, wts, shift, digit_shift, out.data());
   return out;
 }
 
 void gemm_conv_f32(const PackedIm2colF& cols, const PackedWeightsF& wts,
                    const Tensor& bias, Tensor& out) {
-  detail::check_operands(cols.k, cols.k_padded, wts.k, wts.k_padded);
+  if (cols.k != wts.k || cols.k_padded != wts.k_padded) {
+    throw std::invalid_argument("gemm_conv_f32: operand depth mismatch");
+  }
   const std::int64_t rows = cols.rows;
   const std::int64_t kp = cols.k_padded;
   const std::int64_t oc = wts.oc;

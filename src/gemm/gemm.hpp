@@ -1,19 +1,23 @@
-// Tiled conv-GEMM microkernels over packed im2col operands (gemm/packed.hpp).
+// Tiled conv-GEMM microkernels.
 //
-// One integer kernel serves every scheme that needs exact accumulators — the
-// ODQ sensitivity predictor (high digits extracted in-register by a digit
-// shift, the 2*N_LBS shift folded into the store), static INT-N codes, and
-// the differential test harness — with a pluggable accumulate type so tests
-// can prove the tiling is overflow-safe headroom aside (int32 vs int64
-// instantiations must agree bit-for-bit). Integer addition is associative,
-// so any tiling/unroll order is bit-identical to the direct-conv oracle at
-// any thread count.
+// The integer kernel is implicit GEMM over the ODQ operands of
+// gemm/window.hpp: each GEMM row is read in place from the zero-bordered
+// NHWC code window as kh segments, and each filter row from the tap-major
+// panel, so nothing is unrolled into an im2col matrix. It serves the ODQ
+// sensitivity predictor (high digits extracted in-register by a digit
+// shift, the 2*N_LBS shift folded into the store) and the differential
+// test harness, with a pluggable accumulate type so tests can prove the
+// tiling is overflow-safe headroom aside (int32 vs int64 instantiations
+// must agree bit-for-bit). Integer addition is associative, so any
+// tiling/unroll order is bit-identical to the direct-conv oracle at any
+// thread count.
 //
-// The float kernel is deliberately NOT register-blocked over K: it seeds the
-// accumulator with the bias and adds products in packed-row order with a
-// single running sum — exactly the order tensor::conv2d_direct uses — so the
-// DRQ and static fake-quantized baselines stay bit-identical to the retained
-// direct-conv oracle (zero-padded taps contribute exact ±0.0 terms).
+// The float kernel (gemm/packed.hpp operands) is deliberately NOT
+// register-blocked over K: it seeds the accumulator with the bias and adds
+// products in packed-row order with a single running sum — exactly the
+// order tensor::conv2d_direct uses — so the DRQ and static fake-quantized
+// baselines stay bit-identical to the retained direct-conv oracle
+// (zero-padded taps contribute exact ±0.0 terms).
 #pragma once
 
 #include <algorithm>
@@ -21,74 +25,69 @@
 #include <type_traits>
 
 #include "gemm/packed.hpp"
+#include "gemm/window.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/tensor.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odq::gemm {
 
-// The kKTile packing quantum is exactly the SIMD kernels' lane-block size;
-// the depth budget below keeps every int32 lane accumulation exact.
-static_assert(kKTile == simd::kKTileLanes,
-              "packed depth quantum must match the SIMD lane block");
+// Filters per INT-GEMM task and per register tile: a task owns kOcTile
+// filter rows and walks every output pixel of one batch element in pairs.
+// The simd::Kernels::dot_block tile widens each of its 2 activation rows
+// and kOcTile filter rows once per 16-lane block and reuses them across all
+// 2 x kOcTile outputs. A last block with fewer filters repeats its last
+// filter row and drops the duplicate outputs.
+inline constexpr std::int64_t kOcTile = 4;
+
+// The window's channel quantum is exactly the SIMD kernels' lane-block
+// size, so every segment is whole lane blocks.
+static_assert(kChannelQuantum == simd::kKTileLanes,
+              "window channel quantum must match the SIMD lane block");
 // A GEMM task's filter block is exactly one register tile wide.
 static_assert(kOcTile == simd::kBlockFilters,
               "filter block must match the SIMD tile width");
 
-namespace detail {
-
-inline void check_operands(std::int64_t cols_k, std::int64_t cols_kp,
-                           std::int64_t wts_k, std::int64_t wts_kp,
-                           int digit_shift = 0) {
-  if (digit_shift < 0 || digit_shift > 7) {
-    throw std::invalid_argument("gemm_conv: digit shift outside [0, 7]");
-  }
-  if (cols_k != wts_k || cols_kp != wts_kp) {
-    throw std::invalid_argument("gemm_conv: operand depth mismatch");
-  }
-  if (cols_kp > simd::kMaxDotDepth) {
-    throw std::invalid_argument(
-        "gemm_conv: depth exceeds the int32 accumulator budget");
-  }
-}
-
-}  // namespace detail
-
 // out[((b*oc + f)*rows) + r] =
-//     (sum_p (cols.row(b,r)[p] >> ds) * (wts.row(f)[p] >> ds)) << shift,
-// accumulated in Acc, with ds = digit_shift. digit_shift 0 is the plain
-// full-code dot; the ODQ predictor passes N_LBS to multiply the high digits
-// of the same packed codes. Every output comes from the register-blocked
-// simd::Kernels::dot_block tile (exact in int32 within the depth budget),
-// except full-code dots in the int64 instantiation, which use the widening
-// dot_i8_acc64 so they stay exact past int32 headroom.
-// `out` must hold cols.batches * wts.oc * cols.rows elements. Parallel over
+//     (sum_p (row(b,r)[p] >> ds) * (wts.row(f)[p] >> ds)) << shift,
+// accumulated in Acc, with ds = digit_shift and p running over the row's
+// kh window segments. digit_shift 0 is the plain full-code dot; the ODQ
+// predictor passes N_LBS to multiply the high digits of the same codes.
+// Every output comes from the register-blocked simd::Kernels::dot_block
+// tile (exact in int32 within the depth budget), except full-code dots in
+// the int64 instantiation, which sum the widening dot_i8_acc64 over the
+// segments so they stay exact past int32 headroom.
+// `out` must hold win.batches * wts.oc * win.rows() elements. Parallel over
 // (batch, filter-block) tiles; each tile owns disjoint output planes and
 // walks its rows in pairs. A short last filter block or an odd last row
 // repeats the last valid pointer and discards the duplicate outputs, so
 // there is one inner loop for every shape.
 template <typename Acc>
-void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
-                   int shift, int digit_shift, Acc* out) {
+void gemm_conv_int(const CodeWindow& win, const FilterPanel& wts, int shift,
+                   int digit_shift, Acc* out) {
   static_assert(std::is_same_v<Acc, std::int32_t> ||
                     std::is_same_v<Acc, std::int64_t>,
                 "gemm_conv_int: Acc must be int32 or int64");
   constexpr int kRows = simd::kBlockRows;
   constexpr int kFilters = simd::kBlockFilters;
-  detail::check_operands(cols.k, cols.k_padded, wts.k, wts.k_padded,
-                         digit_shift);
-  const std::int64_t rows = cols.rows;
-  const std::int64_t kp = cols.k_padded;
+  if (digit_shift < 0 || digit_shift > 7) {
+    throw std::invalid_argument("gemm_conv: digit shift outside [0, 7]");
+  }
+  check_window_operands(win, wts, "gemm_conv");
+  const std::int64_t rows = win.rows();
+  const std::int64_t seg = win.seg();
+  const std::int64_t nseg = win.nseg();
+  const std::int64_t pitch = win.pitch();
   const std::int64_t oc = wts.oc;
   const std::int64_t oc_blocks = (oc + kOcTile - 1) / kOcTile;
   // One kernel-table fetch per call (not per tile): backend flips between
   // calls (tests, ODQ_SIMD) without an indirect branch in the MAC loop.
-  // k_padded is a multiple of kKTile (16), so the kernels never handle a
+  // seg is a multiple of the 16-lane block, so the kernels never handle a
   // tail; integer sums reassociate freely, so every backend stores the
   // same accumulator bit-for-bit.
   const simd::Kernels& kk = simd::active_kernels();
   util::parallel_for(
-      cols.batches * oc_blocks,
+      win.batches * oc_blocks,
       [&](std::int64_t t0, std::int64_t t1) {
         for (std::int64_t t = t0; t < t1; ++t) {
           const std::int64_t b = t / oc_blocks;
@@ -101,20 +100,25 @@ void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
           Acc* dst = out + (b * oc + f0) * rows;
           for (std::int64_t r = 0; r < rows; r += kRows) {
             const std::int64_t nr = std::min<std::int64_t>(kRows, rows - r);
-            const std::int8_t* a[kRows] = {cols.row(b, r),
-                                           cols.row(b, r + nr - 1)};
+            const std::int8_t* a[kRows] = {win.row(b, r),
+                                           win.row(b, r + nr - 1)};
             Acc tile[kRows * kFilters];
             if constexpr (std::is_same_v<Acc, std::int32_t>) {
-              kk.dot_block(a, w, kp, digit_shift, tile);
+              kk.dot_block(a, w, seg, nseg, pitch, digit_shift, tile);
             } else if (digit_shift == 0) {
               for (int i = 0; i < kRows; ++i) {
                 for (int j = 0; j < kFilters; ++j) {
-                  tile[i * kFilters + j] = kk.dot_i8_acc64(a[i], w[j], kp);
+                  Acc sum = 0;
+                  for (std::int64_t s = 0; s < nseg; ++s) {
+                    sum += kk.dot_i8_acc64(a[i] + s * pitch, w[j] + s * seg,
+                                           seg);
+                  }
+                  tile[i * kFilters + j] = sum;
                 }
               }
             } else {
               std::int32_t narrow[kRows * kFilters];
-              kk.dot_block(a, w, kp, digit_shift, narrow);
+              kk.dot_block(a, w, seg, nseg, pitch, digit_shift, narrow);
               std::copy(narrow, narrow + kRows * kFilters, tile);
             }
             for (std::int64_t i = 0; i < nr; ++i) {
@@ -129,9 +133,8 @@ void gemm_conv_int(const PackedIm2col& cols, const PackedWeights& wts,
 }
 
 // Convenience: fresh int32 accumulators shaped [N, OC, OH, OW].
-tensor::TensorI32 gemm_conv_i8(const PackedIm2col& cols,
-                               const PackedWeights& wts, int shift = 0,
-                               int digit_shift = 0);
+tensor::TensorI32 gemm_conv_i8(const CodeWindow& win, const FilterPanel& wts,
+                               int shift = 0, int digit_shift = 0);
 
 // Float GEMM, bit-identical to tensor::conv2d_direct: per output, one
 // accumulator seeded with the bias, products added in im2col order.

@@ -10,7 +10,6 @@ namespace odq::gemm {
 
 using tensor::Shape;
 using tensor::Tensor;
-using tensor::TensorI8;
 
 namespace {
 
@@ -38,27 +37,28 @@ ConvGeometry check_geometry(const Shape& s, std::int64_t kh, std::int64_t kw,
   return g;
 }
 
-template <typename T>
-void init_packed(PackedIm2colT<T>& p, const ConvGeometry& g) {
+void init_packed(PackedIm2colF& p, const ConvGeometry& g) {
   p.batches = g.n;
   p.rows = g.oh * g.ow;
   p.k = g.k;
   p.k_padded = pad_k(g.k);
   p.oh = g.oh;
   p.ow = g.ow;
-  p.data.assign(static_cast<std::size_t>(g.n * p.rows * p.k_padded), T{});
+  p.data.assign(static_cast<std::size_t>(g.n * p.rows * p.k_padded), 0.0f);
 }
+
+}  // namespace
 
 // Packs one receptive field per row, in im2col order (ic, ki, kj);
 // out-of-bounds and depth-padding entries stay zero from init_packed. Tiled
 // over (batch, output-row blocks): every tile writes a disjoint slice of
 // rows, so results are identical at any pool size.
-template <typename T>
-PackedIm2colT<T> pack_im2col_impl(const Shape& s, const T* src,
-                                  std::int64_t kh, std::int64_t kw,
-                                  std::int64_t stride, std::int64_t pad) {
-  const ConvGeometry g = check_geometry(s, kh, kw, stride, pad);
-  PackedIm2colT<T> out;
+PackedIm2colF pack_im2col_f32(const Tensor& input, std::int64_t kh,
+                              std::int64_t kw, std::int64_t stride,
+                              std::int64_t pad) {
+  const ConvGeometry g = check_geometry(input.shape(), kh, kw, stride, pad);
+  const float* src = input.data();
+  PackedIm2colF out;
   init_packed(out, g);
   const std::int64_t rows = out.rows;
   const std::int64_t row_blocks = (rows + kRowTile - 1) / kRowTile;
@@ -69,23 +69,23 @@ PackedIm2colT<T> pack_im2col_impl(const Shape& s, const T* src,
           const std::int64_t b = t / row_blocks;
           const std::int64_t r0 = (t % row_blocks) * kRowTile;
           const std::int64_t r1 = std::min(rows, r0 + kRowTile);
-          const T* img = src + b * g.c * g.h * g.w;
+          const float* img = src + b * g.c * g.h * g.w;
           for (std::int64_t r = r0; r < r1; ++r) {
-            T* dst = out.row(b, r);
+            float* dst = out.row(b, r);
             const std::int64_t oy = r / g.ow;
             const std::int64_t ox = r % g.ow;
             const std::int64_t iy0 = oy * stride - pad;
             const std::int64_t ix0 = ox * stride - pad;
             std::int64_t p = 0;
             for (std::int64_t ic = 0; ic < g.c; ++ic) {
-              const T* plane = img + ic * g.h * g.w;
+              const float* plane = img + ic * g.h * g.w;
               for (std::int64_t ki = 0; ki < kh; ++ki) {
                 const std::int64_t iy = iy0 + ki;
                 if (iy < 0 || iy >= g.h) {
                   p += kw;
                   continue;
                 }
-                const T* line = plane + iy * g.w;
+                const float* line = plane + iy * g.w;
                 for (std::int64_t kj = 0; kj < kw; ++kj, ++p) {
                   const std::int64_t ix = ix0 + kj;
                   if (ix >= 0 && ix < g.w) dst[p] = line[ix];
@@ -99,57 +99,20 @@ PackedIm2colT<T> pack_im2col_impl(const Shape& s, const T* src,
   return out;
 }
 
-template <typename T>
-PackedWeightsT<T> pack_weights_impl(const Shape& ws, const T* src) {
+PackedWeightsF pack_weights_f32(const Tensor& weight) {
+  const Shape& ws = weight.shape();
   if (ws.rank() != 4) {
     throw std::invalid_argument("gemm::pack_weights: weight must be OIHW");
   }
-  PackedWeightsT<T> out;
+  PackedWeightsF out;
   out.oc = ws[0];
   out.k = ws[1] * ws[2] * ws[3];
   out.k_padded = pad_k(out.k);
-  out.data.assign(static_cast<std::size_t>(out.oc * out.k_padded), T{});
+  out.data.assign(static_cast<std::size_t>(out.oc * out.k_padded), 0.0f);
+  const float* src = weight.data();
   for (std::int64_t f = 0; f < out.oc; ++f) {
-    std::copy(src + f * out.k, src + (f + 1) * out.k, out.row(f));
-  }
-  return out;
-}
-
-}  // namespace
-
-PackedIm2col pack_im2col_i8(const TensorI8& input, std::int64_t kh,
-                            std::int64_t kw, std::int64_t stride,
-                            std::int64_t pad) {
-  return pack_im2col_impl(input.shape(), input.data(), kh, kw, stride, pad);
-}
-
-PackedIm2colF pack_im2col_f32(const Tensor& input, std::int64_t kh,
-                              std::int64_t kw, std::int64_t stride,
-                              std::int64_t pad) {
-  return pack_im2col_impl(input.shape(), input.data(), kh, kw, stride, pad);
-}
-
-PackedWeights pack_weights_i8(const TensorI8& weight) {
-  return pack_weights_impl(weight.shape(), weight.data());
-}
-
-PackedWeightsF pack_weights_f32(const Tensor& weight) {
-  return pack_weights_impl(weight.shape(), weight.data());
-}
-
-TensorI8 unpack_im2col_i8(const PackedIm2col& packed, std::int64_t c,
-                          std::int64_t kh, std::int64_t kw) {
-  if (c * kh * kw != packed.k) {
-    throw std::invalid_argument("gemm::unpack_im2col: c*kh*kw != k");
-  }
-  TensorI8 out(Shape{packed.batches, packed.k, packed.rows});
-  for (std::int64_t b = 0; b < packed.batches; ++b) {
-    for (std::int64_t r = 0; r < packed.rows; ++r) {
-      const std::int8_t* row = packed.row(b, r);
-      for (std::int64_t p = 0; p < packed.k; ++p) {
-        out[(b * packed.k + p) * packed.rows + r] = row[p];
-      }
-    }
+    std::copy(src + f * out.k, src + (f + 1) * out.k,
+              out.data.begin() + f * out.k_padded);
   }
   return out;
 }

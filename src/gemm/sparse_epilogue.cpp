@@ -37,22 +37,17 @@ std::vector<std::int64_t> valid_macs_per_row(const ConvShape& g,
 }
 
 SparseEpilogueStats sparse_result_generation(
-    const PackedIm2col& cols, const PackedWeights& wts,
-    const ConvShape& geom, const tensor::TensorI32& predictor_acc, float scale,
+    const CodeWindow& win, const FilterPanel& wts,
+    const tensor::TensorI32& predictor_acc, float scale,
     float threshold, tensor::TensorI32& acc, tensor::TensorU8& mask,
     std::vector<std::int64_t>& sensitive_per_channel, SensitiveLists& lists) {
-  const std::int64_t n = cols.batches;
-  const std::int64_t rows = cols.rows;
-  const std::int64_t kp = cols.k_padded;
+  check_window_operands(win, wts, "sparse_result_generation");
+  const std::int64_t n = win.batches;
+  const std::int64_t rows = win.rows();
+  const std::int64_t seg = win.seg();
+  const std::int64_t nseg = win.nseg();
+  const std::int64_t pitch = win.pitch();
   const std::int64_t oc = wts.oc;
-  if (cols.k != wts.k || cols.k_padded != wts.k_padded) {
-    throw std::invalid_argument("sparse_result_generation: depth mismatch");
-  }
-  if (kp > simd::kMaxDotDepth) {
-    throw std::invalid_argument(
-        "sparse_result_generation: depth exceeds the int32 accumulator "
-        "budget");
-  }
   if (predictor_acc.numel() != n * oc * rows ||
       acc.numel() != predictor_acc.numel() ||
       mask.numel() != predictor_acc.numel()) {
@@ -69,7 +64,7 @@ SparseEpilogueStats sparse_result_generation(
   lists.lists.assign(static_cast<std::size_t>(n * oc), {});
 
   const std::vector<std::int64_t> row_macs =
-      valid_macs_per_row(geom, cols.oh, cols.ow);
+      valid_macs_per_row(win.shape, win.oh, win.ow);
 
   const std::int64_t tiles = n * oc;
   std::vector<std::int64_t> tile_macs(static_cast<std::size_t>(tiles), 0);
@@ -77,7 +72,7 @@ SparseEpilogueStats sparse_result_generation(
   const std::int32_t* pred_base = predictor_acc.data();
   std::int32_t* acc_base = acc.data();
   std::uint8_t* mask_base = mask.data();
-  // One kernel-table fetch for the whole epilogue; the packed-row dots over
+  // One kernel-table fetch for the whole epilogue; the window-row dots over
   // the compacted lists are the Eq. (3) hot loop.
   const simd::Kernels& kk = simd::active_kernels();
 
@@ -103,12 +98,17 @@ SparseEpilogueStats sparse_result_generation(
 
           // Pass 2: full-code dots over the compacted list only — the
           // predictor term plus the three Eq. (3) remainders in one kernel.
+          // Row pointers come from the image base and the window's offset
+          // table, both held in locals across the opaque kernel calls.
           const std::int8_t* wrow = wts.row(f);
+          const std::int8_t* image = win.data + b * win.image_size();
+          const std::int64_t* offset = win.row_offset.data();
+          const std::int64_t* valid_macs = row_macs.data();
           std::int32_t* a = acc_base + t * rows;
           std::int64_t macs = 0;
           for (const std::int32_t r : list) {
-            a[r] = kk.dot_i8(cols.row(b, r), wrow, kp);
-            macs += row_macs[static_cast<std::size_t>(r)];
+            a[r] = kk.dot_i8(image + offset[r], wrow, seg, nseg, pitch);
+            macs += valid_macs[r];
           }
           tile_macs[static_cast<std::size_t>(t)] = macs;
         }

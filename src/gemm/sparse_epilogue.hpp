@@ -11,24 +11,25 @@
 //      — no per-element branching inside the MAC loops; insensitive outputs
 //      are never touched.
 //
-// Step 3 reads the same single packed code plane and filter panel as the
-// predictor. Every int8 code satisfies v == ((v >> L) << L) + (v & (2^L-1)),
-// and a dot product is linear, so predictor + (cross << L) + low is exactly
-// the full-code dot: a sensitive output's accumulator is simply
-// simd::Kernels::dot_i8 over its packed row, with no digit planes and no
+// Step 3 reads the same code window and filter panel as the predictor
+// (gemm/window.hpp). Every int8 code satisfies
+// v == ((v >> L) << L) + (v & (2^L-1)), and a dot product is linear, so
+// predictor + (cross << L) + low is exactly the full-code dot: a sensitive
+// output's accumulator is simply one segmented simd::Kernels::dot_i8 over
+// its window row (kh segments, one reduction), with no digit planes and no
 // recombination arithmetic.
 //
-// The packed rows include zero-padded taps (image border + depth padding);
+// The window rows include zero taps (image border + padded channels);
 // integer zeros add nothing, so accumulators are bit-identical to the
 // direct-conv result generation. MACs are counted analytically from the conv
 // geometry (in-bounds taps only) so executor_macs matches the direct oracle
-// exactly even though the packed dot also multiplies the padded lanes.
+// exactly even though the dot also multiplies the zero lanes.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "gemm/packed.hpp"
+#include "gemm/window.hpp"
 #include "tensor/tensor.hpp"
 
 namespace odq::gemm {
@@ -52,13 +53,6 @@ struct SensitiveLists {
   }
 };
 
-// Conv geometry the epilogue needs for oracle-exact MAC accounting.
-struct ConvShape {
-  std::int64_t c = 0, h = 0, w = 0;    // input channels / spatial size
-  std::int64_t kh = 0, kw = 0;         // kernel
-  std::int64_t stride = 1, pad = 0;
-};
-
 // In-bounds MAC count per output pixel, row-major over [oh, ow]:
 // c * ki_n(oy) * kj_n(ox), the taps the direct oracle actually visits.
 std::vector<std::int64_t> valid_macs_per_row(const ConvShape& g,
@@ -72,12 +66,13 @@ struct SparseEpilogueStats {
 // Fused mask + compaction + Eq. (3) result generation. `acc` must start as a
 // copy of `predictor_acc` (sensitive outputs are overwritten in place with
 // their full-code dot); `mask` must be preshaped [N, OC, OH, OW];
-// `sensitive_per_channel` must be pre-sized to OC (zeroed). Parallel over
+// `sensitive_per_channel` must be pre-sized to OC (zeroed). The window's
+// conv geometry drives the MAC accounting. Parallel over
 // (batch, out-channel) tiles with per-tile counters — bit-exact and
 // count-exact at any pool size.
 SparseEpilogueStats sparse_result_generation(
-    const PackedIm2col& cols, const PackedWeights& wts,
-    const ConvShape& geom, const tensor::TensorI32& predictor_acc, float scale,
+    const CodeWindow& win, const FilterPanel& wts,
+    const tensor::TensorI32& predictor_acc, float scale,
     float threshold, tensor::TensorI32& acc, tensor::TensorU8& mask,
     std::vector<std::int64_t>& sensitive_per_channel, SensitiveLists& lists);
 

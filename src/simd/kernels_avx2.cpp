@@ -1,4 +1,4 @@
-// AVX2 backend: widen-accumulate integer dot products over packed rows.
+// AVX2 backend: widen-accumulate integer dot products over segmented rows.
 //
 // This is the only TU in the library compiled with -mavx2 (per-source flag
 // in src/CMakeLists.txt), so the rest of the binary stays plain x86-64 and
@@ -18,7 +18,7 @@
 // The GEMM block kernel (dot_block) inserts one _mm256_sra_epi16 per
 // operand row between steps 2 and 3: the arithmetic shift of the
 // sign-extended int16 lanes is exactly v >> shift, so the high digits come
-// out of the one full-code plane without a second packed copy. It widens
+// out of the one full-code stream without a second packed copy. It widens
 // each of its 2 activation rows and 4 filter rows once per block and feeds
 // 8 madds into 8 tile accumulators, so a widened operand serves 2 or 4
 // outputs instead of one.
@@ -50,18 +50,20 @@ inline std::int32_t hsum_epi32(__m256i v) {
   return _mm_cvtsi128_si32(s);
 }
 
+// One accumulator for the whole dot: every lane block of every segment
+// adds its madd into it (the madds are independent, so the one add chain
+// is not the bottleneck), and the single horizontal reduction happens
+// after the last segment.
 std::int32_t dot_i8_avx2(const std::int8_t* a, const std::int8_t* b,
-                         std::int64_t kp) {
-  __m256i acc0 = _mm256_setzero_si256();
-  __m256i acc1 = _mm256_setzero_si256();
-  std::int64_t p = 0;
-  for (; p + 2 * kKTileLanes <= kp; p += 2 * kKTileLanes) {
-    acc0 = _mm256_add_epi32(acc0, madd_block(a + p, b + p));
-    acc1 = _mm256_add_epi32(acc1, madd_block(a + p + kKTileLanes,
-                                             b + p + kKTileLanes));
+                         std::int64_t seg, std::int64_t nseg,
+                         std::int64_t pitch) {
+  __m256i acc = _mm256_setzero_si256();
+  for (std::int64_t s = 0; s < nseg; ++s, a += pitch, b += seg) {
+    for (std::int64_t p = 0; p < seg; p += kKTileLanes) {
+      acc = _mm256_add_epi32(acc, madd_block(a + p, b + p));
+    }
   }
-  if (p < kp) acc0 = _mm256_add_epi32(acc0, madd_block(a + p, b + p));
-  return hsum_epi32(_mm256_add_epi32(acc0, acc1));
+  return hsum_epi32(acc);
 }
 
 std::int64_t dot_i8_acc64_avx2(const std::int8_t* a, const std::int8_t* b,
@@ -107,9 +109,11 @@ inline void store_row(__m256i f0, __m256i f1, __m256i f2, __m256i f3,
 
 // 2 x 4 tile in 8 accumulators: per lane block, each of the 2 activation
 // rows and 4 filter rows is widened and shifted once, then 8 madds. 14 of
-// the 16 ymm registers are live in the loop.
+// the 16 ymm registers are live in the loop. The accumulators carry across
+// the segments; each tile row is reduced once, after the last segment.
 void dot_block_avx2(const std::int8_t* const* a, const std::int8_t* const* b,
-                    std::int64_t kp, int shift, std::int32_t* out) {
+                    std::int64_t seg, std::int64_t nseg, std::int64_t pitch,
+                    int shift, std::int32_t* out) {
   const __m128i count = _mm_cvtsi32_si128(shift);
   const std::int8_t *a0 = a[0], *a1 = a[1];
   const std::int8_t *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
@@ -117,21 +121,29 @@ void dot_block_avx2(const std::int8_t* const* a, const std::int8_t* const* b,
   __m256i c02 = _mm256_setzero_si256(), c03 = _mm256_setzero_si256();
   __m256i c10 = _mm256_setzero_si256(), c11 = _mm256_setzero_si256();
   __m256i c12 = _mm256_setzero_si256(), c13 = _mm256_setzero_si256();
-  for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
-    const __m256i x0 = widen_block(a0 + p, count);
-    const __m256i x1 = widen_block(a1 + p, count);
-    __m256i w = widen_block(b0 + p, count);
-    c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(x0, w));
-    c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(x1, w));
-    w = widen_block(b1 + p, count);
-    c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(x0, w));
-    c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(x1, w));
-    w = widen_block(b2 + p, count);
-    c02 = _mm256_add_epi32(c02, _mm256_madd_epi16(x0, w));
-    c12 = _mm256_add_epi32(c12, _mm256_madd_epi16(x1, w));
-    w = widen_block(b3 + p, count);
-    c03 = _mm256_add_epi32(c03, _mm256_madd_epi16(x0, w));
-    c13 = _mm256_add_epi32(c13, _mm256_madd_epi16(x1, w));
+  for (std::int64_t s = 0; s < nseg; ++s) {
+    for (std::int64_t p = 0; p < seg; p += kKTileLanes) {
+      const __m256i x0 = widen_block(a0 + p, count);
+      const __m256i x1 = widen_block(a1 + p, count);
+      __m256i w = widen_block(b0 + p, count);
+      c00 = _mm256_add_epi32(c00, _mm256_madd_epi16(x0, w));
+      c10 = _mm256_add_epi32(c10, _mm256_madd_epi16(x1, w));
+      w = widen_block(b1 + p, count);
+      c01 = _mm256_add_epi32(c01, _mm256_madd_epi16(x0, w));
+      c11 = _mm256_add_epi32(c11, _mm256_madd_epi16(x1, w));
+      w = widen_block(b2 + p, count);
+      c02 = _mm256_add_epi32(c02, _mm256_madd_epi16(x0, w));
+      c12 = _mm256_add_epi32(c12, _mm256_madd_epi16(x1, w));
+      w = widen_block(b3 + p, count);
+      c03 = _mm256_add_epi32(c03, _mm256_madd_epi16(x0, w));
+      c13 = _mm256_add_epi32(c13, _mm256_madd_epi16(x1, w));
+    }
+    a0 += pitch;
+    a1 += pitch;
+    b0 += seg;
+    b1 += seg;
+    b2 += seg;
+    b3 += seg;
   }
   store_row(c00, c01, c02, c03, out);
   store_row(c10, c11, c12, c13, out + kBlockFilters);

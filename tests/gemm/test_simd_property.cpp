@@ -1,6 +1,6 @@
 // Randomized SIMD-vs-scalar differential suite: ~200 seeded cases asserting
 // that every available vector backend produces results bitwise identical to
-// the scalar kernels through the packed-GEMM paths — accumulators, layer
+// the scalar kernels through the window GEMM paths — accumulators, layer
 // stats MAC counters, masks, and compacted sensitive lists. Operands lean on
 // saturating codes (tests/common/proptest.hpp random_extreme_*) because
 // those expose widen/saturate mistakes plain quantized floats almost never
@@ -11,9 +11,10 @@
 #include <vector>
 
 #include "common/proptest.hpp"
+#include "common/window.hpp"
 #include "core/odq.hpp"
 #include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
+#include "gemm/window.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/tensor.hpp"
 
@@ -95,7 +96,7 @@ TEST(SimdProperty, OdqPipelineBitwiseEqualAcrossBackends) {
   }
 }
 
-// Bare packed INT-GEMM across backends, both as the full-code dot and as
+// Bare window INT-GEMM across backends, both as the full-code dot and as
 // the digit-shifted ODQ predictor (dot_block at every shift 1..7). 60
 // cases.
 TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
@@ -106,19 +107,18 @@ TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
     const testprop::QuantConvCase qc =
         testprop::random_extreme_quant_conv(c.rng(), g, /*bits=*/8);
 
-    const gemm::PackedIm2col cols =
-        gemm::pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const gemm::PackedWeights wts = gemm::pack_weights_i8(qc.weight.q);
+    const testwin::Window win(qc.input.q, g.k, g.k, g.stride, g.pad);
+    const gemm::FilterPanel wts = gemm::pack_filter_panel(qc.weight.q);
     const int shift = c.rng().uniform_int(0, 6);
     for (const int digit_shift : {0, 1 + i % 7}) {
       SCOPED_TRACE(g.str() + " shift=" + std::to_string(shift) +
                    " digit_shift=" + std::to_string(digit_shift));
       const TensorI32 ref = with_backend(Backend::kScalar, [&] {
-        return gemm::gemm_conv_i8(cols, wts, shift, digit_shift);
+        return gemm::gemm_conv_i8(win.view, wts, shift, digit_shift);
       });
       for (const Backend b : vecs) {
         const TensorI32 got = with_backend(b, [&] {
-          return gemm::gemm_conv_i8(cols, wts, shift, digit_shift);
+          return gemm::gemm_conv_i8(win.view, wts, shift, digit_shift);
         });
         SCOPED_TRACE(backend_name(b));
         ASSERT_EQ(ref.vec(), got.vec());
@@ -137,22 +137,21 @@ TEST(SimdProperty, Int64AccumulatorBitwiseEqualAcrossBackends) {
     const testprop::QuantConvCase qc =
         testprop::random_extreme_quant_conv(c.rng(), g, /*bits=*/8);
 
-    const gemm::PackedIm2col cols =
-        gemm::pack_im2col_i8(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const gemm::PackedWeights wts = gemm::pack_weights_i8(qc.weight.q);
+    const testwin::Window win(qc.input.q, g.k, g.k, g.stride, g.pad);
+    const gemm::FilterPanel wts = gemm::pack_filter_panel(qc.weight.q);
     const std::size_t n = static_cast<std::size_t>(
-        cols.batches * wts.oc * cols.rows);
+        win.view.batches * wts.oc * win.view.rows());
     SCOPED_TRACE(g.str());
 
     std::vector<std::int64_t> ref(n, 0);
     with_backend(Backend::kScalar, [&] {
-      gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, 0, ref.data());
+      gemm::gemm_conv_int<std::int64_t>(win.view, wts, 0, 0, ref.data());
       return 0;
     });
     for (const Backend b : vecs) {
       std::vector<std::int64_t> got(n, 0);
       with_backend(b, [&] {
-        gemm::gemm_conv_int<std::int64_t>(cols, wts, 0, 0, got.data());
+        gemm::gemm_conv_int<std::int64_t>(win.view, wts, 0, 0, got.data());
         return 0;
       });
       SCOPED_TRACE(backend_name(b));

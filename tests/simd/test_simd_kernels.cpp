@@ -4,13 +4,18 @@
 // where the CPU or build lacks the ISA.
 //
 // The sweeps target the classic SIMD failure modes:
-//   * lane boundaries — every logical depth K in [1, 2*kKTile+1], i.e.
-//     every possible residue against the 16-lane block, padded exactly the
-//     way gemm/packed.hpp pads,
+//   * lane boundaries — every valid channel count K in [1, 2*16+1] per
+//     segment, i.e. every residue against the 16-lane block, zero-padded the
+//     way the code window pads its channels,
+//   * segments — one and three segments per dot, the activation segments
+//     `pitch` apart with poison in the gaps, so a kernel that ignores the
+//     pitch or reads past a segment fails,
 //   * saturating code values at both signs — ±127/-128 full-code extremes,
 //     also through the 2 x 4 block kernel dot_block at every digit shift
 //     0..7 — the inputs a maddubs-style saturation, sign-extension or
 //     logical-vs-arithmetic shift mistake would corrupt,
+//   * the int32 depth budget — a -128 x -128 dot at the largest accepted
+//     depth is exact against int64, and one more lane block is rejected,
 //   * tile straddles — out-channel counts around kOcTile, odd and even row
 //     counts (the block kernel's row-pair tail) through the full
 //     gemm_conv_int tiling, and odd output maps and filter counts of 6 and
@@ -22,10 +27,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/window.hpp"
 #include "core/odq.hpp"
 #include "gemm/gemm.hpp"
-#include "gemm/packed.hpp"
 #include "gemm/sparse_epilogue.hpp"
+#include "gemm/window.hpp"
 #include "quant/quantizer.hpp"
 #include "simd/dispatch.hpp"
 #include "tensor/tensor.hpp"
@@ -34,39 +40,86 @@
 namespace odq::simd {
 namespace {
 
-using gemm::kKTile;
 using gemm::kOcTile;
-using gemm::kRowTile;
-using gemm::pad_k;
+using gemm::pad_channels;
 using tensor::Shape;
 using tensor::TensorI32;
 using tensor::TensorI8;
 using tensor::TensorU8;
 
+constexpr std::int64_t kLanes = kKTileLanes;
+
+// --- Segmented operands ----------------------------------------------------
+
+// nseg segments of seg = pad_channels(k) lanes, k of them valid. An
+// activation operand keeps its segments `pitch` apart, one lane block
+// further than seg when there are several, and fills the gaps with poison;
+// a filter operand is contiguous.
+struct SegShape {
+  std::int64_t k = 0;
+  std::int64_t nseg = 1;
+
+  std::int64_t seg() const { return pad_channels(k); }
+  std::int64_t pitch() const { return nseg > 1 ? seg() + kLanes : seg(); }
+  std::string str() const {
+    return "K=" + std::to_string(k) + " nseg=" + std::to_string(nseg);
+  }
+};
+
+constexpr std::int8_t kPoison = 0x5A;
+
+// Valid lane p of segment s holds fill(s * k + p); padded lanes are zero.
+template <typename Fill>
+std::vector<std::int8_t> activation_operand(const SegShape& sh, Fill fill) {
+  std::vector<std::int8_t> v(
+      static_cast<std::size_t>((sh.nseg - 1) * sh.pitch() + sh.seg()),
+      kPoison);
+  for (std::int64_t s = 0; s < sh.nseg; ++s) {
+    std::int8_t* seg = v.data() + s * sh.pitch();
+    for (std::int64_t p = 0; p < sh.seg(); ++p) {
+      seg[p] = p < sh.k ? fill(s * sh.k + p) : std::int8_t{0};
+    }
+  }
+  return v;
+}
+
+template <typename Fill>
+std::vector<std::int8_t> filter_operand(const SegShape& sh, Fill fill) {
+  std::vector<std::int8_t> v(static_cast<std::size_t>(sh.nseg * sh.seg()), 0);
+  for (std::int64_t s = 0; s < sh.nseg; ++s) {
+    for (std::int64_t p = 0; p < sh.k; ++p) {
+      v[static_cast<std::size_t>(s * sh.seg() + p)] = fill(s * sh.k + p);
+    }
+  }
+  return v;
+}
+
 // --- Independent oracles (plain loops, no shared code with src/simd) ------
 
-std::int64_t oracle_dot(const std::int8_t* a, const std::int8_t* b,
-                        std::int64_t kp) {
+// Floor division by 2^shift is the arithmetic right shift the kernels
+// implement, spelled as a division so the oracle shares nothing with them.
+std::int64_t floor_shift(std::int64_t v, int shift) {
+  const std::int64_t d = std::int64_t{1} << shift;
+  return v >= 0 ? v / d : -((-v + d - 1) / d);
+}
+
+// Sum over the valid lanes of every segment only: padded lanes and the
+// poisoned gaps must not matter.
+std::int64_t oracle_dot_high(const std::int8_t* a, const std::int8_t* b,
+                             const SegShape& sh, int shift) {
   std::int64_t s = 0;
-  for (std::int64_t p = 0; p < kp; ++p) {
-    s += static_cast<std::int64_t>(a[p]) * b[p];
+  for (std::int64_t g = 0; g < sh.nseg; ++g) {
+    for (std::int64_t p = 0; p < sh.k; ++p) {
+      s += floor_shift(a[g * sh.pitch() + p], shift) *
+           floor_shift(b[g * sh.seg() + p], shift);
+    }
   }
   return s;
 }
 
-std::int64_t oracle_dot_high(const std::int8_t* a, const std::int8_t* b,
-                             std::int64_t kp, int shift) {
-  // Floor division by 2^shift is the arithmetic right shift the kernels
-  // implement, spelled as a division so the oracle shares nothing with them.
-  const std::int64_t d = std::int64_t{1} << shift;
-  auto floor_div = [d](std::int64_t v) {
-    return v >= 0 ? v / d : -((-v + d - 1) / d);
-  };
-  std::int64_t s = 0;
-  for (std::int64_t p = 0; p < kp; ++p) {
-    s += floor_div(a[p]) * floor_div(b[p]);
-  }
-  return s;
+std::int64_t oracle_dot(const std::int8_t* a, const std::int8_t* b,
+                        const SegShape& sh) {
+  return oracle_dot_high(a, b, sh, 0);
 }
 
 // Hostile fills: full-code saturating extremes at both signs, an
@@ -85,12 +138,16 @@ const std::vector<std::pair<const char*, FillFn>>& hostile_fills() {
   return fills;
 }
 
-// A depth-K operand padded to pad_k(K) with zeros, valid entries from `fill`.
-template <typename Fill>
-std::vector<std::int8_t> padded_operand(std::int64_t k, Fill fill) {
-  std::vector<std::int8_t> v(static_cast<std::size_t>(pad_k(k)), 0);
-  for (std::int64_t p = 0; p < k; ++p) v[static_cast<std::size_t>(p)] = fill(p);
-  return v;
+// Every channel residue against the 16-lane block, in one segment and in
+// three.
+std::vector<SegShape> lane_boundary_shapes() {
+  std::vector<SegShape> shapes;
+  for (const std::int64_t nseg : {1, 3}) {
+    for (std::int64_t k = 1; k <= 2 * kLanes + 1; ++k) {
+      shapes.push_back(SegShape{k, nseg});
+    }
+  }
+  return shapes;
 }
 
 // --- Per-backend fixture ---------------------------------------------------
@@ -121,95 +178,94 @@ TEST_P(SimdKernels, ActiveTableMatchesForcedBackend) {
   EXPECT_STREQ(active_kernels().name, backend_name(GetParam()));
 }
 
-// Every depth residue against the 16-lane block, against the hostile fills
-// and seeded random codes.
+// Every channel residue against the 16-lane block, in one and in three
+// segments, against the hostile fills and seeded random codes.
 TEST_P(SimdKernels, DotMatchesOracleAcrossLaneBoundaryDepths) {
   const Kernels& kk = active_kernels();
   util::Rng rng(7);
-  for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
+  auto check = [&](const SegShape& sh, const std::vector<std::int8_t>& a,
+                   const std::vector<std::int8_t>& b) {
+    const std::int64_t want = oracle_dot(a.data(), b.data(), sh);
+    ASSERT_EQ(kk.dot_i8(a.data(), b.data(), sh.seg(), sh.nseg, sh.pitch()),
+              static_cast<std::int32_t>(want));
+    // acc64 reads one contiguous run: the sum of its per-segment dots.
+    std::int64_t acc64 = 0;
+    for (std::int64_t s = 0; s < sh.nseg; ++s) {
+      acc64 += kk.dot_i8_acc64(a.data() + s * sh.pitch(),
+                               b.data() + s * sh.seg(), sh.seg());
+    }
+    ASSERT_EQ(acc64, want);
+  };
+  for (const SegShape& sh : lane_boundary_shapes()) {
     for (const auto& [aname, afill] : hostile_fills()) {
       for (const auto& [bname, bfill] : hostile_fills()) {
-        const auto a = padded_operand(k, afill);
-        const auto b = padded_operand(k, bfill);
-        const std::int64_t kp = pad_k(k);
-        const std::int64_t want = oracle_dot(a.data(), b.data(), kp);
-        SCOPED_TRACE(std::string("K=") + std::to_string(k) + " a=" + aname +
-                     " b=" + bname);
-        ASSERT_EQ(kk.dot_i8(a.data(), b.data(), kp),
-                  static_cast<std::int32_t>(want));
-        ASSERT_EQ(kk.dot_i8_acc64(a.data(), b.data(), kp), want);
+        SCOPED_TRACE(sh.str() + " a=" + aname + " b=" + bname);
+        check(sh, activation_operand(sh, afill), filter_operand(sh, bfill));
       }
     }
     // Seeded random codes on top of the deterministic corner fills.
+    auto random_code = [&](std::int64_t) {
+      return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    };
     for (int rep = 0; rep < 4; ++rep) {
-      const auto a = padded_operand(k, [&](std::int64_t) {
-        return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-      });
-      const auto b = padded_operand(k, [&](std::int64_t) {
-        return static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-      });
-      const std::int64_t kp = pad_k(k);
-      const std::int64_t want = oracle_dot(a.data(), b.data(), kp);
-      SCOPED_TRACE("K=" + std::to_string(k) + " random rep " +
-                   std::to_string(rep));
-      ASSERT_EQ(kk.dot_i8(a.data(), b.data(), kp),
-                static_cast<std::int32_t>(want));
-      ASSERT_EQ(kk.dot_i8_acc64(a.data(), b.data(), kp), want);
+      SCOPED_TRACE(sh.str() + " random rep " + std::to_string(rep));
+      check(sh, activation_operand(sh, random_code),
+            filter_operand(sh, random_code));
     }
   }
 }
 
 // The 2 x 4 GEMM block kernel over full codes: every shift in the 0..7
-// contract (0 is the full-code dot), every lane-boundary depth, the hostile
-// fills spread over the tile's 2 rows and 4 filters (-128 is the one code
-// whose digit reaches -64) plus seeded random codes. Each of the 8 outputs
-// must equal the floor-division oracle and the scalar backend's tile.
+// contract (0 is the full-code dot), every lane-boundary channel count in
+// one and three segments, the hostile fills spread over the tile's 2 rows
+// and 4 filters (-128 is the one code whose digit reaches -64) plus seeded
+// random codes. Each of the 8 outputs must equal the floor-division oracle
+// and the scalar backend's tile.
 TEST_P(SimdKernels, BlockKernelMatchesOracle) {
   const Kernels& kk = active_kernels();
   const auto& fills = hostile_fills();
   const auto nfill = static_cast<std::int64_t>(fills.size());
   util::Rng rng(11);
   using Operand = std::vector<std::int8_t>;
-  auto check_tile = [&](const Operand (&rows)[kBlockRows],
-                        const Operand (&filters)[kBlockFilters],
-                        std::int64_t kp, int shift) {
+  auto check_tile = [&](const SegShape& sh, const Operand (&rows)[kBlockRows],
+                        const Operand (&filters)[kBlockFilters], int shift) {
     const std::int8_t* a[kBlockRows];
     const std::int8_t* b[kBlockFilters];
     for (int i = 0; i < kBlockRows; ++i) a[i] = rows[i].data();
     for (int j = 0; j < kBlockFilters; ++j) b[j] = filters[j].data();
     std::int32_t got[kBlockRows * kBlockFilters];
     std::int32_t scalar[kBlockRows * kBlockFilters];
-    kk.dot_block(a, b, kp, shift, got);
-    scalar_kernels().dot_block(a, b, kp, shift, scalar);
+    kk.dot_block(a, b, sh.seg(), sh.nseg, sh.pitch(), shift, got);
+    scalar_kernels().dot_block(a, b, sh.seg(), sh.nseg, sh.pitch(), shift,
+                               scalar);
     for (int i = 0; i < kBlockRows; ++i) {
       for (int j = 0; j < kBlockFilters; ++j) {
         const int o = i * kBlockFilters + j;
-        ASSERT_EQ(got[o], oracle_dot_high(a[i], b[j], kp, shift))
+        ASSERT_EQ(got[o], oracle_dot_high(a[i], b[j], sh, shift))
             << "row " << i << " filter " << j;
         ASSERT_EQ(got[o], scalar[o]) << "row " << i << " filter " << j;
       }
     }
   };
   for (int shift = 0; shift <= 7; ++shift) {
-    for (std::int64_t k = 1; k <= 2 * kKTile + 1; ++k) {
-      const std::int64_t kp = pad_k(k);
+    for (const SegShape& sh : lane_boundary_shapes()) {
       for (std::int64_t fa = 0; fa < nfill; ++fa) {
         for (std::int64_t fb = 0; fb < nfill; ++fb) {
           Operand rows[kBlockRows];
           Operand filters[kBlockFilters];
           for (int i = 0; i < kBlockRows; ++i) {
-            rows[i] = padded_operand(
-                k, fills[static_cast<std::size_t>((fa + i) % nfill)].second);
+            rows[i] = activation_operand(
+                sh, fills[static_cast<std::size_t>((fa + i) % nfill)].second);
           }
           for (int j = 0; j < kBlockFilters; ++j) {
-            filters[j] = padded_operand(
-                k, fills[static_cast<std::size_t>((fb + j) % nfill)].second);
+            filters[j] = filter_operand(
+                sh, fills[static_cast<std::size_t>((fb + j) % nfill)].second);
           }
-          SCOPED_TRACE("shift=" + std::to_string(shift) + " K=" +
-                       std::to_string(k) + " a=" +
-                       fills[static_cast<std::size_t>(fa)].first + ".. b=" +
-                       fills[static_cast<std::size_t>(fb)].first + "..");
-          check_tile(rows, filters, kp, shift);
+          SCOPED_TRACE("shift=" + std::to_string(shift) + " " + sh.str() +
+                       " a=" + fills[static_cast<std::size_t>(fa)].first +
+                       ".. b=" + fills[static_cast<std::size_t>(fb)].first +
+                       "..");
+          check_tile(sh, rows, filters, shift);
         }
       }
       for (int rep = 0; rep < 4; ++rep) {
@@ -218,15 +274,64 @@ TEST_P(SimdKernels, BlockKernelMatchesOracle) {
         };
         Operand rows[kBlockRows];
         Operand filters[kBlockFilters];
-        for (auto& r : rows) r = padded_operand(k, random_code);
-        for (auto& f : filters) f = padded_operand(k, random_code);
-        SCOPED_TRACE("shift=" + std::to_string(shift) + " K=" +
-                     std::to_string(k) + " random rep " +
-                     std::to_string(rep));
-        check_tile(rows, filters, kp, shift);
+        for (auto& r : rows) r = activation_operand(sh, random_code);
+        for (auto& f : filters) f = filter_operand(sh, random_code);
+        SCOPED_TRACE("shift=" + std::to_string(shift) + " " + sh.str() +
+                     " random rep " + std::to_string(rep));
+        check_tile(sh, rows, filters, shift);
       }
     }
   }
+}
+
+// The int32 budget at its boundary: a dot of kMaxDotDepth -128 x -128
+// products (2^14 each, 2,147,221,504 in all) is exact against int64 on every
+// kernel, in one segment and in 8191 one-block segments (kMaxDotDepth is
+// 16 * 8191), at shifts 0 and 7; the full window
+// GEMM and the Eq. (3) epilogue at that depth agree. One more lane block
+// would reach 2^31 and is rejected (SimdDispatch.DepthBudgetEnforced).
+TEST_P(SimdKernels, DepthBudgetBoundaryIsExact) {
+  const Kernels& kk = active_kernels();
+  const std::int64_t want = kMaxDotDepth * kMaxLaneProduct;
+  ASSERT_LE(want, kInt32Max);
+  for (const std::int64_t nseg : {std::int64_t{1}, std::int64_t{8191}}) {
+    ASSERT_EQ(kMaxDotDepth % (nseg * kLanes), 0);
+    const SegShape sh{kMaxDotDepth / nseg, nseg};
+    auto min_code = [](std::int64_t) { return std::int8_t{-128}; };
+    const auto a = activation_operand(sh, min_code);
+    const auto b = filter_operand(sh, min_code);
+    SCOPED_TRACE(sh.str());
+    EXPECT_EQ(kk.dot_i8(a.data(), b.data(), sh.seg(), nseg, sh.pitch()),
+              static_cast<std::int32_t>(want));
+    for (const int shift : {0, 7}) {
+      const std::int8_t* rows[kBlockRows] = {a.data(), a.data()};
+      const std::int8_t* filters[kBlockFilters] = {b.data(), b.data(),
+                                                   b.data(), b.data()};
+      std::int32_t tile[kBlockRows * kBlockFilters];
+      kk.dot_block(rows, filters, sh.seg(), nseg, sh.pitch(), shift, tile);
+      const std::int64_t digit = floor_shift(-128, shift);
+      for (const std::int32_t v : tile) {
+        EXPECT_EQ(v, kMaxDotDepth * digit * digit) << "shift " << shift;
+      }
+    }
+  }
+  // The same depth as a 1 x 1 conv over kMaxDotDepth channels.
+  TensorI8 x(Shape{1, kMaxDotDepth, 1, 1});
+  TensorI8 w(Shape{1, kMaxDotDepth, 1, 1});
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = -128;
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = -128;
+  const testwin::Window win(x, 1, 1, 1, 0);
+  const gemm::FilterPanel wts = gemm::pack_filter_panel(w);
+  ASSERT_EQ(win.view.depth(), kMaxDotDepth);
+  const TensorI32 pred = gemm::gemm_conv_i8(win.view, wts);
+  EXPECT_EQ(pred[0], static_cast<std::int32_t>(want));
+  TensorI32 acc(pred.shape());
+  TensorU8 mask(pred.shape());
+  std::vector<std::int64_t> per_channel(1, 0);
+  gemm::SensitiveLists lists;
+  gemm::sparse_result_generation(win.view, wts, pred, 1.0f, 0.0f, acc, mask,
+                                 per_channel, lists);
+  EXPECT_EQ(acc[0], static_cast<std::int32_t>(want));
 }
 
 // The acc64 kernel must stay exact where an int32 sum would wrap: a
@@ -243,56 +348,51 @@ TEST_P(SimdKernels, Acc64StaysExactPastInt32Headroom) {
 }
 
 // The full tiled INT-GEMM across out-channel counts straddling kOcTile and
-// row counts straddling kRowTile, against a naive triple loop.
+// row counts around the block kernel's row pair and a 64-row block, over a
+// window of 2 segments per row (a 2 x 1 kernel, 24 channels padded to 32:
+// one full lane block and one half block per segment), against a naive
+// loop over the OIHW codes.
 TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
   util::Rng rng(23);
-  const std::int64_t k = 24;  // kp = 32: one full block + one half block
-  for (const std::int64_t rows : {std::int64_t{1}, kRowTile - 1, kRowTile,
-                                  kRowTile + 1}) {
+  const std::int64_t c = 24;
+  auto random_codes = [&](Shape shape) {
+    TensorI8 t(std::move(shape));
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      t[i] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    }
+    return t;
+  };
+  for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{63},
+                                  std::int64_t{64}, std::int64_t{65}}) {
     for (std::int64_t oc = 1; oc <= 2 * kOcTile + 1; ++oc) {
-      gemm::PackedIm2col cols;
-      cols.batches = 2;
-      cols.rows = rows;
-      cols.k = k;
-      cols.k_padded = pad_k(k);
-      cols.oh = rows;
-      cols.ow = 1;
-      cols.data.assign(
-          static_cast<std::size_t>(cols.batches * rows * cols.k_padded), 0);
-      gemm::PackedWeights wts;
-      wts.oc = oc;
-      wts.k = k;
-      wts.k_padded = pad_k(k);
-      wts.data.assign(static_cast<std::size_t>(oc * wts.k_padded), 0);
-      for (std::int64_t b = 0; b < cols.batches; ++b) {
-        for (std::int64_t r = 0; r < rows; ++r) {
-          std::int8_t* row = cols.row(b, r);
-          for (std::int64_t p = 0; p < k; ++p) {
-            row[p] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-          }
-        }
-      }
-      for (std::int64_t f = 0; f < oc; ++f) {
-        std::int8_t* row = wts.row(f);
-        for (std::int64_t p = 0; p < k; ++p) {
-          row[p] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-        }
-      }
+      const TensorI8 x = random_codes(Shape{2, c, 2, rows});
+      const TensorI8 w = random_codes(Shape{oc, c, 2, 1});
+      const testwin::Window win(x, 2, 1, /*stride=*/1, /*pad=*/0);
+      const gemm::FilterPanel wts = gemm::pack_filter_panel(w);
+      ASSERT_EQ(win.view.rows(), rows);
+      ASSERT_EQ(win.view.nseg(), 2);
 
       const int shift = 4;
-      const TensorI32 got = gemm::gemm_conv_i8(cols, wts, shift);
-      std::vector<std::int64_t> got64(
-          static_cast<std::size_t>(cols.batches * oc * rows), 0);
-      gemm::gemm_conv_int<std::int64_t>(cols, wts, shift, 0, got64.data());
+      const TensorI32 got = gemm::gemm_conv_i8(win.view, wts, shift);
+      std::vector<std::int64_t> got64(static_cast<std::size_t>(2 * oc * rows),
+                                      0);
+      gemm::gemm_conv_int<std::int64_t>(win.view, wts, shift, 0,
+                                        got64.data());
 
       SCOPED_TRACE("rows=" + std::to_string(rows) + " oc=" +
                    std::to_string(oc));
-      for (std::int64_t b = 0; b < cols.batches; ++b) {
+      for (std::int64_t b = 0; b < 2; ++b) {
         for (std::int64_t f = 0; f < oc; ++f) {
           for (std::int64_t r = 0; r < rows; ++r) {
-            const std::int64_t want =
-                oracle_dot(cols.row(b, r), wts.row(f), cols.k_padded)
-                << shift;
+            std::int64_t dot = 0;
+            for (std::int64_t ch = 0; ch < c; ++ch) {
+              for (std::int64_t ki = 0; ki < 2; ++ki) {
+                dot += static_cast<std::int64_t>(
+                           x[((b * c + ch) * 2 + ki) * rows + r]) *
+                       w[(f * c + ch) * 2 + ki];
+              }
+            }
+            const std::int64_t want = dot << shift;
             const std::int64_t idx = (b * oc + f) * rows + r;
             ASSERT_EQ(got[idx], static_cast<std::int32_t>(want))
                 << "b=" << b << " f=" << f << " r=" << r;
@@ -320,9 +420,9 @@ TEST_P(SimdKernels, GemmConvOddRowsAndFilterTailsMatchDirectConv) {
     for (std::int64_t i = 0; i < w.numel(); ++i) {
       w[i] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
     }
-    const gemm::PackedIm2col cols = gemm::pack_im2col_i8(x, 3, 3, 1, 1);
-    const gemm::PackedWeights wts = gemm::pack_weights_i8(w);
-    ASSERT_EQ(cols.rows, 49);
+    const testwin::Window win(x, 3, 3, 1, 1);
+    const gemm::FilterPanel wts = gemm::pack_filter_panel(w);
+    ASSERT_EQ(win.view.rows(), 49);
     for (int ds = 0; ds <= 7; ++ds) {
       TensorI8 xh(x.shape());
       TensorI8 wh(w.shape());
@@ -334,9 +434,10 @@ TEST_P(SimdKernels, GemmConvOddRowsAndFilterTailsMatchDirectConv) {
       }
       const TensorI32 want = quant::conv2d_i8(xh, wh, 1, 1);
       const int shift = 2 * (ds % 3);
-      const TensorI32 got = gemm::gemm_conv_i8(cols, wts, shift, ds);
+      const TensorI32 got = gemm::gemm_conv_i8(win.view, wts, shift, ds);
       std::vector<std::int64_t> got64(static_cast<std::size_t>(want.numel()));
-      gemm::gemm_conv_int<std::int64_t>(cols, wts, shift, ds, got64.data());
+      gemm::gemm_conv_int<std::int64_t>(win.view, wts, shift, ds,
+                                        got64.data());
       SCOPED_TRACE("oc=" + std::to_string(oc) + " digit_shift=" +
                    std::to_string(ds));
       ASSERT_EQ(got.shape(), want.shape());
@@ -416,26 +517,37 @@ TEST(SimdDispatch, UnavailableBackendRefusedWithoutSideEffects) {
   if (avx2_kernels() == nullptr) {
     EXPECT_FALSE(backend_available(Backend::kAvx2));
   }
-  if (neon_kernels() == nullptr) {
-    EXPECT_FALSE(backend_available(Backend::kNeon));
-  }
 }
 
 TEST(SimdDispatch, DepthBudgetEnforced) {
-  // A depth beyond the int32 accumulator budget must be rejected up front,
-  // not silently wrapped (kMaxDotDepth is ~1M taps; no real layer is near).
-  gemm::PackedIm2col cols;
-  cols.batches = 1;
-  cols.rows = 1;
-  cols.k = kMaxDotDepth + 1;
-  cols.k_padded = pad_k(cols.k);
-  cols.oh = cols.ow = 1;
-  gemm::PackedWeights wts;
-  wts.oc = 1;
-  wts.k = cols.k;
-  wts.k_padded = cols.k_padded;
-  // No data allocation needed: the depth check precedes any dereference.
-  EXPECT_THROW(gemm::gemm_conv_i8(cols, wts, 0), std::invalid_argument);
+  // The budget is per dot, on kh * seg: kMaxDotDepth channels of a 1 x 1
+  // conv are accepted (SimdKernels.DepthBudgetBoundaryIsExact checks the
+  // sum), and one more lane block is rejected up front by the GEMM and the
+  // epilogue, not silently wrapped.
+  static_assert(kMaxDotDepth == 131056);
+  const std::int64_t c = kMaxDotDepth + kLanes;
+  const TensorI8 x(Shape{1, c, 1, 1});
+  const testwin::Window win(x, 1, 1, 1, 0);
+  const gemm::FilterPanel wts = gemm::pack_filter_panel(x);
+  ASSERT_EQ(win.view.depth(), c);
+  EXPECT_THROW(gemm::gemm_conv_i8(win.view, wts), std::invalid_argument);
+  const TensorI32 pred(Shape{1, 1, 1, 1});
+  TensorI32 acc(pred.shape());
+  TensorU8 mask(pred.shape());
+  std::vector<std::int64_t> per_channel(1, 0);
+  gemm::SensitiveLists lists;
+  EXPECT_THROW(gemm::sparse_result_generation(win.view, wts, pred, 1.0f, 0.0f,
+                                              acc, mask, per_channel, lists),
+               std::invalid_argument);
+  // Several segments count together: a 3 x 3 window whose taps fit alone
+  // but whose 9 taps do not.
+  const TensorI8 x3(Shape{1, kMaxDotDepth / 8, 3, 3});
+  const testwin::Window win3(x3, 3, 3, 1, 0);
+  const gemm::FilterPanel wts3 = gemm::pack_filter_panel(TensorI8(
+      Shape{1, kMaxDotDepth / 8, 3, 3}));
+  ASSERT_GT(win3.view.depth(), kMaxDotDepth);
+  ASSERT_LE(win3.view.seg(), kMaxDotDepth);
+  EXPECT_THROW(gemm::gemm_conv_i8(win3.view, wts3), std::invalid_argument);
 }
 
 }  // namespace

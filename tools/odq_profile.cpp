@@ -6,8 +6,10 @@
 // ODQ executor installed and tracing + telemetry enabled, then emits
 //   * a Chrome Trace Event Format file (chrome://tracing / Perfetto), and
 //   * a JSON report: per-layer wall time, sensitive-output fraction
-//     (exactly OdqConvExecutor::layer_stats), predictor vs executor MACs,
-//     bytes moved at INT4 + mask width, plus under "metrics" the
+//     (exactly OdqConvExecutor::layer_stats), predictor vs executor MACs
+//     and the host ns per MAC of each, the conv phase breakdown and its
+//     unattributed remainder, bytes moved at INT4 + mask width, plus under
+//     "metrics" the
 //     observability plane's snapshot document (obs::telemetry_to_json, the
 //     same schema the telemetry exporter writes).
 //
@@ -207,6 +209,8 @@ int tool_main(int argc, char** argv) {
     w.key("layers");
     w.begin_array();
     double total_bytes = 0.0;
+    double conv_wall = 0.0;
+    double conv_unattributed = 0.0;
     const core::OdqConvExecutor& odq_exec = exec->inner();
     for (const auto& [conv_id, prof] : exec->profiles()) {
       const core::OdqLayerStats stats = odq_exec.layer_stats(conv_id);
@@ -221,21 +225,35 @@ int tool_main(int argc, char** argv) {
       w.kv("sensitive_fraction", stats.sensitive_fraction());
       w.kv("predictor_macs", stats.predictor_macs);
       w.kv("executor_macs", stats.executor_macs);
+      w.kv("ns_per_predictor_mac", stats.ns_per_predictor_mac());
+      w.kv("ns_per_executor_mac", stats.ns_per_executor_mac());
       // Phase breakdown of the conv (core/odq.cpp): the quantize front end
-      // (input scan, activation and weight codes), packing of the one int8
-      // code plane, predictor INT-GEMM, mask-aware sparse result
-      // generation, and dequantize + bias. Sums to less than wall_seconds;
-      // the remainder is executor overhead.
+      // (input scan, activation and weight codes), the code-window build,
+      // predictor INT-GEMM, mask-aware sparse result generation, and
+      // dequantize + bias. They sum to less than wall_seconds; the
+      // remainder (executor bookkeeping, allocation, tracing) is reported
+      // as unattributed_seconds.
+      const double unattributed = prof.wall_seconds - stats.phase_seconds();
+      conv_wall += prof.wall_seconds;
+      conv_unattributed += unattributed;
       w.kv("quantize_seconds", stats.quantize_seconds);
       w.kv("pack_seconds", stats.pack_seconds);
       w.kv("gemm_seconds", stats.gemm_seconds);
       w.kv("sparse_epilogue_seconds", stats.sparse_epilogue_seconds);
       w.kv("dequantize_seconds", stats.dequantize_seconds);
+      w.kv("unattributed_seconds", unattributed);
       w.kv("bytes_moved", bytes);
       w.end_object();
     }
     w.end_array();
     w.kv("total_bytes_moved", total_bytes);
+    // Whole-run conv wall time and the share no phase accounts for;
+    // tools/check_profile_phases.cmake bounds the share.
+    const double unattributed_fraction =
+        conv_wall > 0.0 ? conv_unattributed / conv_wall : 0.0;
+    w.kv("conv_wall_seconds", conv_wall);
+    w.kv("conv_unattributed_seconds", conv_unattributed);
+    w.kv("conv_unattributed_fraction", unattributed_fraction);
     // The snapshot's single advance folds the whole run into one epoch, so
     // every window holds every sample.
     const auto snapshot_us = static_cast<std::uint64_t>(total_seconds * 1e6);
@@ -262,15 +280,17 @@ int tool_main(int argc, char** argv) {
       std::fprintf(stderr, "simd backend: %s\n",
                    simd::backend_name(simd::active_backend()));
       std::fprintf(stderr,
-                   "%-8s %5s %10s %8s %9s %9s %9s %9s %9s %12s %12s %10s\n",
+                   "%-8s %5s %10s %8s %9s %9s %9s %9s %9s %9s %12s %12s "
+                   "%8s %8s %10s\n",
                    "layer", "calls", "wall ms", "sens %", "quant ms",
-                   "pack ms", "gemm ms", "spars ms", "deq ms", "pred MACs",
-                   "exec MACs", "KB moved");
+                   "pack ms", "gemm ms", "spars ms", "deq ms", "unattr ms",
+                   "pred MACs", "exec MACs", "ns/pMAC", "ns/eMAC",
+                   "KB moved");
       for (const auto& [conv_id, prof] : exec->profiles()) {
         const core::OdqLayerStats stats = odq_exec.layer_stats(conv_id);
         std::fprintf(stderr,
                      "conv%-4d %5lld %10.3f %7.1f%% %9.3f %9.3f %9.3f %9.3f "
-                     "%9.3f %12lld %12lld %10.1f\n",
+                     "%9.3f %9.3f %12lld %12lld %8.4f %8.4f %10.1f\n",
                      conv_id, static_cast<long long>(prof.calls),
                      prof.wall_seconds * 1e3,
                      100.0 * stats.sensitive_fraction(),
@@ -278,11 +298,17 @@ int tool_main(int argc, char** argv) {
                      stats.gemm_seconds * 1e3,
                      stats.sparse_epilogue_seconds * 1e3,
                      stats.dequantize_seconds * 1e3,
+                     (prof.wall_seconds - stats.phase_seconds()) * 1e3,
                      static_cast<long long>(stats.predictor_macs),
                      static_cast<long long>(stats.executor_macs),
+                     stats.ns_per_predictor_mac(),
+                     stats.ns_per_executor_mac(),
                      layer_bytes_moved(prof) / 1024.0);
       }
-      std::fprintf(stderr, "total: %.3f s, %.1f KB moved", total_seconds,
+      std::fprintf(stderr,
+                   "total: %.3f s, convs %.3f s of which %.1f%% unattributed, "
+                   "%.1f KB moved",
+                   total_seconds, conv_wall, 100.0 * unattributed_fraction,
                    total_bytes / 1024.0);
       if (!opt.trace_path.empty()) {
         std::fprintf(stderr, ", trace -> %s", opt.trace_path.c_str());
