@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
   }
 
   // Threshold sweep over the same conv stack: the mask-aware sparse
-  // epilogue runs Eq. 3 only over the compacted sensitive lists, so host
+  // epilogue runs the Eq. 3 dot only for sensitive outputs, so host
   // wall time must fall with the sensitive fraction. The fractions are
   // deterministic (fixed rng seed) and gated by odq_bench_diff; the
   // *_seconds cells are wall-clock and auto-ignored by the gate.

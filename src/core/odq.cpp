@@ -104,6 +104,36 @@ void record_odq_fidelity(const Tensor& input, const Tensor& weight,
                            out.numel());
 }
 
+// One float-facing ODQ conv, as odq_conv_float and OdqConvExecutor::run
+// both serve it: the quantize front end, odq_conv, the dequantize + bias
+// epilogue, and fidelity attribution when it is enabled. `front` started
+// before the caller's scan of the input (`range`), so quantize_seconds
+// covers the scan too.
+struct FloatConv {
+  Tensor out;
+  OdqConvResult r;
+};
+
+FloatConv odq_conv_from_float(const Tensor& input, const Tensor& weight,
+                              const Tensor& bias, std::int64_t stride,
+                              std::int64_t pad, const OdqConfig& cfg,
+                              const quant::ActivationRange& range,
+                              const util::WallTimer& front, int layer) {
+  const QuantizedOperands q = quantize_operands(input, weight, range, cfg);
+  const double quantize_seconds = front.seconds();
+  FloatConv c{Tensor{}, odq_conv(q.input, q.weight, stride, pad, cfg)};
+  c.r.stats.quantize_seconds = quantize_seconds;
+
+  util::WallTimer back;
+  c.out = dequantize_with_bias(c.r.acc, c.r.scale, bias);
+  c.r.stats.dequantize_seconds = back.seconds();
+  if (obs::fidelity_enabled()) {
+    record_odq_fidelity(input, weight, bias, stride, pad, cfg, c.r, c.out,
+                        layer);
+  }
+  return c;
+}
+
 // Returns nullptr when the layer's runtime statistics support the dynamic
 // scheme, else a short reason string. ODQ's sensitivity threshold compares
 // |dequantized predictor| against cfg.threshold — a non-finite threshold
@@ -166,21 +196,14 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
     }
   }
 
-  // Threshold -> bit mask, plus the compacted per-tile index lists the
-  // window path emits (ascending by construction here too).
+  // Threshold -> bit mask.
   res.mask = TensorU8(Shape{n, oc, oh, ow});
   res.sensitive_per_channel.assign(static_cast<std::size_t>(oc), 0);
-  res.sensitive_lists.batches = n;
-  res.sensitive_lists.channels = oc;
-  res.sensitive_lists.rows = oh * ow;
-  res.sensitive_lists.lists.assign(static_cast<std::size_t>(n * oc), {});
   std::int64_t sensitive = 0;
   {
     ODQ_TRACE_SPAN("odq.mask");
     for (std::int64_t b = 0; b < n; ++b) {
       for (std::int64_t ch = 0; ch < oc; ++ch) {
-        std::vector<std::int32_t>& list =
-            res.sensitive_lists.lists[static_cast<std::size_t>(b * oc + ch)];
         for (std::int64_t i = 0; i < oh * ow; ++i) {
           const std::int64_t idx = ((b * oc + ch) * oh * ow) + i;
           const float mag =
@@ -190,7 +213,6 @@ OdqConvResult odq_conv_reference(const QTensor& input, const QTensor& weight,
           if (sens) {
             ++sensitive;
             ++res.sensitive_per_channel[static_cast<std::size_t>(ch)];
-            list.push_back(static_cast<std::int32_t>(i));
           }
         }
       }
@@ -294,18 +316,19 @@ OdqConvResult odq_conv(const QTensor& input, const QTensor& weight,
     res.stats.gemm_seconds = timer.seconds();
   }
 
-  // Steps 3b+4: threshold mask, sensitive-index compaction, and Eq. (3)
-  // result generation over the compacted lists only (gemm/sparse_epilogue).
+  // Steps 3b+4: threshold mask and Eq. (3) result generation in one pass
+  // over the outputs (gemm/sparse_epilogue), which writes every final
+  // accumulator.
   gemm::SparseEpilogueStats es;
   {
     obs::TraceSpan span("odq.sparse_epilogue");
     util::WallTimer timer;
-    res.acc = res.predictor_acc;
+    res.acc = TensorI32(Shape{n, oc, oh, ow});
     res.mask = TensorU8(Shape{n, oc, oh, ow});
     res.sensitive_per_channel.assign(static_cast<std::size_t>(oc), 0);
     es = gemm::sparse_result_generation(
         win, wts, res.predictor_acc, res.scale, cfg.threshold, res.acc,
-        res.mask, res.sensitive_per_channel, res.sensitive_lists);
+        res.mask, res.sensitive_per_channel);
     res.stats.sparse_epilogue_seconds = timer.seconds();
     span.arg("sensitive", es.sensitive);
   }
@@ -324,22 +347,13 @@ Tensor odq_conv_float(const Tensor& input, const Tensor& weight,
                       const OdqConfig& cfg, OdqLayerStats* stats,
                       TensorU8* mask_out) {
   util::WallTimer front;
-  const QuantizedOperands q =
-      quantize_operands(input, weight, quant::activation_range(input), cfg);
-  const double quantize_seconds = front.seconds();
-  OdqConvResult r = odq_conv(q.input, q.weight, stride, pad, cfg);
-  r.stats.quantize_seconds = quantize_seconds;
-
-  util::WallTimer back;
-  Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
-  r.stats.dequantize_seconds = back.seconds();
-  if (obs::fidelity_enabled()) {
-    record_odq_fidelity(input, weight, bias, stride, pad, cfg, r, out,
-                        /*layer=*/-1);
-  }
-  if (stats != nullptr) *stats = r.stats;
-  if (mask_out != nullptr) *mask_out = std::move(r.mask);
-  return out;
+  FloatConv c =
+      odq_conv_from_float(input, weight, bias, stride, pad, cfg,
+                          quant::activation_range(input), front,
+                          /*layer=*/-1);
+  if (stats != nullptr) *stats = c.r.stats;
+  if (mask_out != nullptr) *mask_out = std::move(c.r.mask);
+  return std::move(c.out);
 }
 
 Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
@@ -352,18 +366,9 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
   if (const char* reason = odq_degenerate_reason(range, cfg_.threshold)) {
     return run_fallback(input, weight, bias, stride, pad, conv_id, reason);
   }
-  const QuantizedOperands q = quantize_operands(input, weight, range, cfg_);
-  const double quantize_seconds = front.seconds();
-  OdqConvResult r = odq_conv(q.input, q.weight, stride, pad, cfg_);
-  r.stats.quantize_seconds = quantize_seconds;
-
-  util::WallTimer back;
-  Tensor out = dequantize_with_bias(r.acc, r.scale, bias);
-  r.stats.dequantize_seconds = back.seconds();
-  if (obs::fidelity_enabled()) {
-    record_odq_fidelity(input, weight, bias, stride, pad, cfg_, r, out,
-                        conv_id);
-  }
+  FloatConv c = odq_conv_from_float(input, weight, bias, stride, pad, cfg_,
+                                    range, front, conv_id);
+  OdqConvResult& r = c.r;
 
   // Calibration subsampling happens in a call-local buffer; the shared
   // state below is only touched under one short lock (concurrent run()
@@ -392,7 +397,7 @@ Tensor OdqConvExecutor::run(const Tensor& input, const Tensor& weight,
     calib_samples_.insert(calib_samples_.end(), local_samples.begin(),
                           local_samples.end());
   }
-  return out;
+  return std::move(c.out);
 }
 
 Tensor OdqConvExecutor::run_fallback(const Tensor& input, const Tensor& weight,

@@ -29,7 +29,6 @@
 #include <mutex>
 #include <vector>
 
-#include "gemm/sparse_epilogue.hpp"
 #include "nn/layer.hpp"
 #include "quant/bitsplit.hpp"
 #include "quant/quantizer.hpp"
@@ -123,10 +122,6 @@ struct OdqConvResult {
   // Per-output-channel sensitive counts (summed over batch & space) — the
   // accelerator simulator's workload-balance input.
   std::vector<std::int64_t> sensitive_per_channel;
-  // Compacted per-(batch, out-channel) sensitive output-pixel indices, the
-  // executor PE work queues the sparse epilogue consumed. Always consistent
-  // with `mask` and `stats.sensitive` (tests/gemm pins this).
-  gemm::SensitiveLists sensitive_lists;
   float scale = 1.0f;  // float value = acc * scale
   OdqLayerStats stats;
 };
@@ -134,8 +129,9 @@ struct OdqConvResult {
 // Core integer pipeline on already-quantized tensors. `input` must be an
 // unsigned QTensor with `cfg.total_bits` bits, `weight` a signed one.
 // Builds one code window and one filter panel, then runs the predictor
-// GEMM and the fused mask+executor passes tiled over (batch, out-channel)
-// on the global thread pool (serially when called from a pool worker).
+// GEMM and the one fused mask+executor pass, tiled over (batch,
+// out-channel) on the global thread pool (serially when called from a pool
+// worker).
 OdqConvResult odq_conv(const quant::QTensor& input,
                        const quant::QTensor& weight, std::int64_t stride,
                        std::int64_t pad, const OdqConfig& cfg);

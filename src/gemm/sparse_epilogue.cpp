@@ -40,7 +40,7 @@ SparseEpilogueStats sparse_result_generation(
     const CodeWindow& win, const FilterPanel& wts,
     const tensor::TensorI32& predictor_acc, float scale,
     float threshold, tensor::TensorI32& acc, tensor::TensorU8& mask,
-    std::vector<std::int64_t>& sensitive_per_channel, SensitiveLists& lists) {
+    std::vector<std::int64_t>& sensitive_per_channel) {
   check_window_operands(win, wts, "sparse_result_generation");
   const std::int64_t n = win.batches;
   const std::int64_t rows = win.rows();
@@ -58,22 +58,17 @@ SparseEpilogueStats sparse_result_generation(
         "sparse_result_generation: bad per-channel buffer");
   }
 
-  lists.batches = n;
-  lists.channels = oc;
-  lists.rows = rows;
-  lists.lists.assign(static_cast<std::size_t>(n * oc), {});
-
   const std::vector<std::int64_t> row_macs =
       valid_macs_per_row(win.shape, win.oh, win.ow);
 
   const std::int64_t tiles = n * oc;
-  std::vector<std::int64_t> tile_macs(static_cast<std::size_t>(tiles), 0);
+  std::vector<SparseEpilogueStats> tile_stats(static_cast<std::size_t>(tiles));
 
   const std::int32_t* pred_base = predictor_acc.data();
   std::int32_t* acc_base = acc.data();
   std::uint8_t* mask_base = mask.data();
-  // One kernel-table fetch for the whole epilogue; the window-row dots over
-  // the compacted lists are the Eq. (3) hot loop.
+  // One kernel-table fetch for the whole epilogue; the window-row dots of
+  // the sensitive outputs are the Eq. (3) hot loop.
   const simd::Kernels& kk = simd::active_kernels();
 
   util::parallel_for(
@@ -83,34 +78,31 @@ SparseEpilogueStats sparse_result_generation(
           const std::int64_t b = t / oc;
           const std::int64_t f = t % oc;
           const std::int32_t* pred = pred_base + t * rows;
+          std::int32_t* a = acc_base + t * rows;
           std::uint8_t* m = mask_base + t * rows;
-          std::vector<std::int32_t>& list =
-              lists.lists[static_cast<std::size_t>(t)];
-
-          // Pass 1: threshold + compaction (ascending by construction).
-          for (std::int64_t r = 0; r < rows; ++r) {
-            const float mag =
-                std::abs(static_cast<float>(pred[r]) * scale);
-            const bool sens = mag >= threshold;
-            m[r] = sens ? 1 : 0;
-            if (sens) list.push_back(static_cast<std::int32_t>(r));
-          }
-
-          // Pass 2: full-code dots over the compacted list only — the
-          // predictor term plus the three Eq. (3) remainders in one kernel.
           // Row pointers come from the image base and the window's offset
           // table, both held in locals across the opaque kernel calls.
           const std::int8_t* wrow = wts.row(f);
           const std::int8_t* image = win.data + b * win.image_size();
           const std::int64_t* offset = win.row_offset.data();
           const std::int64_t* valid_macs = row_macs.data();
-          std::int32_t* a = acc_base + t * rows;
-          std::int64_t macs = 0;
-          for (const std::int32_t r : list) {
-            a[r] = kk.dot_i8(image + offset[r], wrow, seg, nseg, pitch);
-            macs += valid_macs[r];
+          SparseEpilogueStats ts;
+          // Threshold, then the full-code dot — the predictor term plus
+          // the three Eq. (3) remainders in one kernel — for a sensitive
+          // output, or the predictor value for an insensitive one.
+          for (std::int64_t r = 0; r < rows; ++r) {
+            const float mag = std::abs(static_cast<float>(pred[r]) * scale);
+            if (mag >= threshold) {
+              m[r] = 1;
+              a[r] = kk.dot_i8(image + offset[r], wrow, seg, nseg, pitch);
+              ++ts.sensitive;
+              ts.executor_macs += valid_macs[r];
+            } else {
+              m[r] = 0;
+              a[r] = pred[r];
+            }
           }
-          tile_macs[static_cast<std::size_t>(t)] = macs;
+          tile_stats[static_cast<std::size_t>(t)] = ts;
         }
       },
       /*grain=*/1);
@@ -118,12 +110,10 @@ SparseEpilogueStats sparse_result_generation(
   // Serial reduction of the per-tile counters.
   SparseEpilogueStats stats;
   for (std::int64_t t = 0; t < tiles; ++t) {
-    const std::int64_t sens =
-        static_cast<std::int64_t>(lists.lists[static_cast<std::size_t>(t)]
-                                      .size());
-    stats.sensitive += sens;
-    stats.executor_macs += tile_macs[static_cast<std::size_t>(t)];
-    sensitive_per_channel[static_cast<std::size_t>(t % oc)] += sens;
+    const SparseEpilogueStats& ts = tile_stats[static_cast<std::size_t>(t)];
+    stats.sensitive += ts.sensitive;
+    stats.executor_macs += ts.executor_macs;
+    sensitive_per_channel[static_cast<std::size_t>(t % oc)] += ts.sensitive;
   }
   return stats;
 }

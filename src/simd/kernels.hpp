@@ -61,14 +61,6 @@ using DotI8Fn = std::int32_t (*)(const std::int8_t* a, const std::int8_t* b,
                                  std::int64_t seg, std::int64_t nseg,
                                  std::int64_t pitch);
 
-// sum_p a[p] * b[p] over kp contiguous int8 entries (kp a multiple of
-// kKTileLanes), exact in int64 regardless of int32 headroom: vector
-// backends widen every block's int32 partial sums into int64 lanes, so this
-// stays bit-identical to a scalar int64 accumulation even where an int32
-// sum would wrap. The int64 GEMM instantiation calls it once per segment.
-using DotI8Acc64Fn = std::int64_t (*)(const std::int8_t* a,
-                                      const std::int8_t* b, std::int64_t kp);
-
 // The register-blocked GEMM kernel: a 2-row x 4-filter tile of segmented
 // digit dots
 //   out[i * kBlockFilters + j] =
@@ -88,11 +80,11 @@ using DotBlockFn = void (*)(const std::int8_t* const* a,
                             std::int64_t nseg, std::int64_t pitch, int shift,
                             std::int32_t* out);
 
-// One backend's kernel table.
+// One backend's kernel table: the Eq. (3) epilogue's full-code dot and the
+// GEMM's block kernel.
 struct Kernels {
   const char* name;
   DotI8Fn dot_i8;
-  DotI8Acc64Fn dot_i8_acc64;
   DotBlockFn dot_block;
 };
 

@@ -13,8 +13,8 @@
 //      8 x int32 — exact, because |int8*int8| <= 2^14 and a pair sum
 //      <= 2^15 (static_assert in kernels.hpp), so the signed-saturation
 //      edge of the maddubs-style tricks never applies,
-//   4. accumulate the int32 lanes (or widen each block's lanes to int64 for
-//      the acc64 kernel, which must stay exact past int32 headroom).
+//   4. accumulate the int32 lanes, which the per-dot depth budget
+//      (kMaxDotDepth in kernels.hpp) keeps exact.
 // The GEMM block kernel (dot_block) inserts one _mm256_sra_epi16 per
 // operand row between steps 2 and 3: the arithmetic shift of the
 // sign-extended int16 lanes is exactly v >> shift, so the high digits come
@@ -64,25 +64,6 @@ std::int32_t dot_i8_avx2(const std::int8_t* a, const std::int8_t* b,
     }
   }
   return hsum_epi32(acc);
-}
-
-std::int64_t dot_i8_acc64_avx2(const std::int8_t* a, const std::int8_t* b,
-                               std::int64_t kp) {
-  __m256i acc = _mm256_setzero_si256();  // 4 x int64
-  for (std::int64_t p = 0; p < kp; p += kKTileLanes) {
-    // Each block's 8 int32 partial sums are exact (<= 2^15 each); widening
-    // them into int64 lanes *every block* keeps the running sum exact even
-    // where an int32 accumulation would wrap.
-    const __m256i s32 = madd_block(a + p, b + p);
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s32)));
-    acc = _mm256_add_epi64(
-        acc, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s32, 1)));
-  }
-  const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                                  _mm256_extracti128_si256(acc, 1));
-  return _mm_cvtsi128_si64(s) +
-         _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s));
 }
 
 // One operand row of a lane block: 16 int8 codes widened to int16 and
@@ -149,8 +130,7 @@ void dot_block_avx2(const std::int8_t* const* a, const std::int8_t* const* b,
   store_row(c10, c11, c12, c13, out + kBlockFilters);
 }
 
-constexpr Kernels kAvx2Kernels = {"avx2", dot_i8_avx2, dot_i8_acc64_avx2,
-                                  dot_block_avx2};
+constexpr Kernels kAvx2Kernels = {"avx2", dot_i8_avx2, dot_block_avx2};
 
 }  // namespace
 

@@ -27,18 +27,6 @@ std::int32_t dot_i8_scalar(const std::int8_t* a, const std::int8_t* b,
   return (s0 + s1) + (s2 + s3);
 }
 
-std::int64_t dot_i8_acc64_scalar(const std::int8_t* a, const std::int8_t* b,
-                                 std::int64_t kp) {
-  std::int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::int64_t p = 0; p < kp; p += 4) {
-    s0 += static_cast<std::int64_t>(a[p]) * b[p];
-    s1 += static_cast<std::int64_t>(a[p + 1]) * b[p + 1];
-    s2 += static_cast<std::int64_t>(a[p + 2]) * b[p + 2];
-    s3 += static_cast<std::int64_t>(a[p + 3]) * b[p + 3];
-  }
-  return (s0 + s1) + (s2 + s3);
-}
-
 // The plain loop: one running sum per tile output.
 void dot_block_scalar(const std::int8_t* const* a, const std::int8_t* const* b,
                       std::int64_t seg, std::int64_t nseg, std::int64_t pitch,
@@ -59,7 +47,7 @@ void dot_block_scalar(const std::int8_t* const* a, const std::int8_t* const* b,
 }
 
 constexpr Kernels kScalarKernels = {"scalar", dot_i8_scalar,
-                                    dot_i8_acc64_scalar, dot_block_scalar};
+                                    dot_block_scalar};
 
 }  // namespace
 

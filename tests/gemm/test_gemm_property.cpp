@@ -80,30 +80,6 @@ TEST(GemmDifferential, FoldedShiftMatchesPostShiftedOracle) {
   }
 }
 
-// The microkernel's accumulate type is pluggable; int64 and int32
-// instantiations must agree bit-for-bit while INT4-range products are far
-// from either type's headroom.
-TEST(GemmDifferential, Int64AccumulatorAgreesWithInt32) {
-  for (int i = 0; i < 10; ++i) {
-    ODQ_PROP_CASE(c, i + 2000);
-    const ConvGeom g = testprop::random_conv_geom(c.rng());
-    const testprop::QuantConvCase qc = testprop::random_quant_conv(c.rng(), g);
-
-    const Window win(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const FilterPanel wts = pack_filter_panel(qc.weight.q);
-    const TensorI32 i32 = gemm_conv_i8(win.view, wts, 0);
-    std::vector<std::int64_t> i64(
-        static_cast<std::size_t>(win.view.batches * wts.oc * win.view.rows()),
-        0);
-    gemm_conv_int<std::int64_t>(win.view, wts, 0, 0, i64.data());
-    SCOPED_TRACE(g.str());
-    for (std::int64_t j = 0; j < i32.numel(); ++j) {
-      ASSERT_EQ(static_cast<std::int64_t>(i32[j]),
-                i64[static_cast<std::size_t>(j)]);
-    }
-  }
-}
-
 // --- Packed float GEMM vs the direct float conv oracle --------------------
 
 TEST(GemmDifferential, FloatGemmMatchesDirectConvBitwise) {
@@ -143,7 +119,6 @@ void expect_odq_bitwise_equal(const core::OdqConvResult& ref,
     ASSERT_EQ(ref.mask[i], par.mask[i]) << "mask diverges at " << i;
   }
   ASSERT_EQ(ref.sensitive_per_channel, par.sensitive_per_channel);
-  ASSERT_EQ(ref.sensitive_lists.lists, par.sensitive_lists.lists);
   EXPECT_FLOAT_EQ(ref.scale, par.scale);
   EXPECT_EQ(ref.stats.sensitive, par.stats.sensitive);
   EXPECT_EQ(ref.stats.predictor_macs, par.stats.predictor_macs);
@@ -190,14 +165,12 @@ TEST(GemmDifferential, OdqThresholdExtremes) {
       ASSERT_EQ(r_all.acc[j], full[j]);
     }
 
-    // Huge threshold: nothing sensitive -> predictor-only accumulators and
-    // empty compacted lists.
+    // Huge threshold: nothing sensitive -> predictor-only accumulators.
     core::OdqConfig none;
     none.threshold = 1e30f;
     const core::OdqConvResult r_none =
         core::odq_conv(qc.input, qc.weight, g.stride, g.pad, none);
     ASSERT_EQ(r_none.stats.sensitive, 0);
-    ASSERT_EQ(r_none.sensitive_lists.total(), 0);
     ASSERT_EQ(r_none.stats.executor_macs, 0);
     for (std::int64_t j = 0; j < r_none.acc.numel(); ++j) {
       ASSERT_EQ(r_none.acc[j], r_none.predictor_acc[j]);
@@ -290,12 +263,11 @@ TEST(GemmPacking, RejectsBadGeometry) {
     const FilterPanel wts = pack_filter_panel(TensorI8(ws));
     EXPECT_THROW(gemm_conv_i8(win, wts, 0), std::invalid_argument);
     const TensorI32 pred(Shape{1, 2, 5, 5});
-    TensorI32 acc = pred;
+    TensorI32 acc(pred.shape());
     tensor::TensorU8 mask(pred.shape());
     std::vector<std::int64_t> per_channel(2, 0);
-    SensitiveLists lists;
     EXPECT_THROW(sparse_result_generation(win, wts, pred, 1.0f, 0.0f, acc,
-                                          mask, per_channel, lists),
+                                          mask, per_channel),
                  std::invalid_argument);
   }
 }
@@ -340,12 +312,11 @@ void check_window_geometry(const TensorI8& x, const TensorI8& w,
 
   const TensorI32 full = quant::conv2d_i8(x, w, stride, pad);
   const TensorI32 pred = gemm_conv_i8(win.view, wts, 4, 2);
-  TensorI32 acc = pred;
+  TensorI32 acc(pred.shape());
   tensor::TensorU8 mask(pred.shape());
   std::vector<std::int64_t> per_channel(static_cast<std::size_t>(wts.oc), 0);
-  SensitiveLists lists;
   const SparseEpilogueStats st = sparse_result_generation(
-      win.view, wts, pred, 1.0f, 0.0f, acc, mask, per_channel, lists);
+      win.view, wts, pred, 1.0f, 0.0f, acc, mask, per_channel);
   ASSERT_EQ(st.sensitive, pred.numel());
   ASSERT_EQ(acc.vec(), full.vec());
 }

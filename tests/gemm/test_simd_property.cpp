@@ -1,10 +1,10 @@
-// Randomized SIMD-vs-scalar differential suite: ~200 seeded cases asserting
+// Randomized SIMD-vs-scalar differential suite: ~180 seeded cases asserting
 // that every available vector backend produces results bitwise identical to
 // the scalar kernels through the window GEMM paths — accumulators, layer
-// stats MAC counters, masks, and compacted sensitive lists. Operands lean on
-// saturating codes (tests/common/proptest.hpp random_extreme_*) because
-// those expose widen/saturate mistakes plain quantized floats almost never
-// reach. Every case prints a replay line on failure.
+// stats MAC counters, masks, and per-channel sensitive counts. Operands
+// lean on saturating codes (tests/common/proptest.hpp random_extreme_*)
+// because those expose widen/saturate mistakes plain quantized floats
+// almost never reach. Every case prints a replay line on failure.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,7 +56,6 @@ void expect_odq_bitwise_equal(const core::OdqConvResult& ref,
         << backend << ": mask diverges at " << i;
   }
   ASSERT_EQ(ref.sensitive_per_channel, got.sensitive_per_channel) << backend;
-  ASSERT_EQ(ref.sensitive_lists.lists, got.sensitive_lists.lists) << backend;
   ASSERT_EQ(ref.stats.sensitive, got.stats.sensitive) << backend;
   ASSERT_EQ(ref.stats.predictor_macs, got.stats.predictor_macs) << backend;
   ASSERT_EQ(ref.stats.executor_macs, got.stats.executor_macs) << backend;
@@ -123,39 +122,6 @@ TEST(SimdProperty, PackedGemmBitwiseEqualAcrossBackends) {
         SCOPED_TRACE(backend_name(b));
         ASSERT_EQ(ref.vec(), got.vec());
       }
-    }
-  }
-}
-
-// The int64-accumulator instantiation across backends (the acc64 kernels
-// share no code with the int32 ones). 20 cases.
-TEST(SimdProperty, Int64AccumulatorBitwiseEqualAcrossBackends) {
-  const std::vector<Backend> vecs = vector_backends();
-  for (int i = 0; i < 20; ++i) {
-    ODQ_PROP_CASE(c, i + 22000);
-    const ConvGeom g = testprop::random_conv_geom(c.rng());
-    const testprop::QuantConvCase qc =
-        testprop::random_extreme_quant_conv(c.rng(), g, /*bits=*/8);
-
-    const testwin::Window win(qc.input.q, g.k, g.k, g.stride, g.pad);
-    const gemm::FilterPanel wts = gemm::pack_filter_panel(qc.weight.q);
-    const std::size_t n = static_cast<std::size_t>(
-        win.view.batches * wts.oc * win.view.rows());
-    SCOPED_TRACE(g.str());
-
-    std::vector<std::int64_t> ref(n, 0);
-    with_backend(Backend::kScalar, [&] {
-      gemm::gemm_conv_int<std::int64_t>(win.view, wts, 0, 0, ref.data());
-      return 0;
-    });
-    for (const Backend b : vecs) {
-      std::vector<std::int64_t> got(n, 0);
-      with_backend(b, [&] {
-        gemm::gemm_conv_int<std::int64_t>(win.view, wts, 0, 0, got.data());
-        return 0;
-      });
-      SCOPED_TRACE(backend_name(b));
-      ASSERT_EQ(ref, got);
     }
   }
 }

@@ -1,15 +1,20 @@
-// Golden regression for the mask-aware sparse epilogue: the compacted
-// per-tile sensitive-index lists must agree exactly with every other view
-// of sensitivity the library exposes — the bit mask, the per-channel
-// counters, and the per-layer `sensitive` counter OdqConvExecutor's
-// layer_stats() accumulates (the number odq_profile reports).
+// Golden regression for the mask-aware sparse epilogue: the bit mask it
+// writes must agree exactly with every other view of sensitivity the
+// library exposes — the threshold applied to the predictor, the per-call
+// `stats.sensitive`, the per-channel counters, and the `sensitive` counter
+// OdqConvExecutor's layer_stats() accumulates (the number odq_profile
+// reports). Each tile's sensitive outputs (its "list") are the
+// set bits of its mask plane. The epilogue must also write every
+// accumulator, whatever the buffer held before.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 
 #include "common/proptest.hpp"
+#include "common/window.hpp"
 #include "core/odq.hpp"
+#include "gemm/gemm.hpp"
 #include "gemm/sparse_epilogue.hpp"
 #include "tensor/ops.hpp"
 
@@ -33,8 +38,16 @@ core::OdqConvResult random_odq_result(testprop::Case& c, ConvGeom& g,
   return core::odq_conv(qc.input, qc.weight, g.stride, g.pad, cfg);
 }
 
-// Lists vs mask: each (batch, channel) tile's list must be exactly the
-// ascending positions of the mask bits in that plane.
+std::int64_t mask_popcount(const tensor::TensorU8& mask) {
+  std::int64_t n = 0;
+  for (std::int64_t j = 0; j < mask.numel(); ++j) n += mask[j];
+  return n;
+}
+
+// Lists vs mask: each (batch, channel) tile's sensitive outputs — those
+// whose dequantized predictor magnitude reaches the threshold — are
+// exactly the set bits of that mask plane, and the mask popcount is the
+// layer's `sensitive` counter.
 TEST(SparseEpilogueGolden, ListsAreExactlyTheMaskPositions) {
   for (int i = 0; i < 25; ++i) {
     ODQ_PROP_CASE(c, i);
@@ -43,29 +56,18 @@ TEST(SparseEpilogueGolden, ListsAreExactlyTheMaskPositions) {
     const core::OdqConvResult r = random_odq_result(c, g, cfg);
     SCOPED_TRACE(g.str() + " thr=" + std::to_string(cfg.threshold));
 
-    const SensitiveLists& sl = r.sensitive_lists;
-    ASSERT_EQ(sl.batches, r.mask.shape()[0]);
-    ASSERT_EQ(sl.channels, r.mask.shape()[1]);
-    ASSERT_EQ(sl.rows, r.mask.shape()[2] * r.mask.shape()[3]);
-    ASSERT_EQ(static_cast<std::int64_t>(sl.lists.size()),
-              sl.batches * sl.channels);
-    for (std::int64_t b = 0; b < sl.batches; ++b) {
-      for (std::int64_t ch = 0; ch < sl.channels; ++ch) {
-        std::vector<std::int32_t> expect;
-        const std::uint8_t* m =
-            r.mask.data() + (b * sl.channels + ch) * sl.rows;
-        for (std::int64_t p = 0; p < sl.rows; ++p) {
-          if (m[p] != 0) expect.push_back(static_cast<std::int32_t>(p));
-        }
-        ASSERT_EQ(sl.tile(b, ch), expect)
-            << "tile (" << b << ", " << ch << ")";
-      }
+    ASSERT_EQ(r.mask.shape(), r.predictor_acc.shape());
+    for (std::int64_t j = 0; j < r.mask.numel(); ++j) {
+      const float mag =
+          std::abs(static_cast<float>(r.predictor_acc[j]) * r.scale);
+      ASSERT_EQ(r.mask[j], mag >= cfg.threshold ? 1 : 0) << "output " << j;
     }
+    ASSERT_EQ(mask_popcount(r.mask), r.stats.sensitive);
   }
 }
 
-// Lists vs counters: total() == stats.sensitive, and per-channel list sizes
-// (summed over batch) == sensitive_per_channel.
+// Lists vs counters: the mask popcount is stats.sensitive, and each
+// channel's mask sum (over batch and space) is sensitive_per_channel.
 TEST(SparseEpilogueGolden, ListTotalsMatchLayerCounters) {
   for (int i = 0; i < 25; ++i) {
     ODQ_PROP_CASE(c, i + 100);
@@ -74,18 +76,17 @@ TEST(SparseEpilogueGolden, ListTotalsMatchLayerCounters) {
     const core::OdqConvResult r = random_odq_result(c, g, cfg);
     SCOPED_TRACE(g.str() + " thr=" + std::to_string(cfg.threshold));
 
-    const SensitiveLists& sl = r.sensitive_lists;
-    ASSERT_EQ(sl.total(), r.stats.sensitive);
-    std::int64_t mask_pop = 0;
-    for (std::int64_t j = 0; j < r.mask.numel(); ++j) mask_pop += r.mask[j];
-    ASSERT_EQ(mask_pop, r.stats.sensitive);
-
+    ASSERT_EQ(mask_popcount(r.mask), r.stats.sensitive);
+    const std::int64_t batches = r.mask.shape()[0];
+    const std::int64_t channels = r.mask.shape()[1];
+    const std::int64_t rows = r.mask.shape()[2] * r.mask.shape()[3];
     ASSERT_EQ(static_cast<std::int64_t>(r.sensitive_per_channel.size()),
-              sl.channels);
-    for (std::int64_t ch = 0; ch < sl.channels; ++ch) {
+              channels);
+    for (std::int64_t ch = 0; ch < channels; ++ch) {
       std::int64_t n = 0;
-      for (std::int64_t b = 0; b < sl.batches; ++b) {
-        n += static_cast<std::int64_t>(sl.tile(b, ch).size());
+      for (std::int64_t b = 0; b < batches; ++b) {
+        const std::uint8_t* m = r.mask.data() + (b * channels + ch) * rows;
+        for (std::int64_t p = 0; p < rows; ++p) n += m[p];
       }
       ASSERT_EQ(n, r.sensitive_per_channel[static_cast<std::size_t>(ch)])
           << "channel " << ch;
@@ -94,8 +95,8 @@ TEST(SparseEpilogueGolden, ListTotalsMatchLayerCounters) {
 }
 
 // Lists vs the executor: the per-layer `sensitive` counter layer_stats()
-// reports (what odq_profile prints) must equal the compacted list total of
-// the same conv run through the core API — same quantization helpers, same
+// reports (what odq_profile prints) must equal the mask popcount of the
+// same conv run through the core API — same quantization helpers, same
 // deterministic pipeline.
 TEST(SparseEpilogueGolden, ExecutorLayerStatsMatchCompactedLists) {
   for (int i = 0; i < 10; ++i) {
@@ -121,7 +122,7 @@ TEST(SparseEpilogueGolden, ExecutorLayerStatsMatchCompactedLists) {
 
     SCOPED_TRACE(g.str() + " thr=" + std::to_string(cfg.threshold));
     ASSERT_EQ(ls.calls, 1);
-    ASSERT_EQ(ls.sensitive, r.sensitive_lists.total());
+    ASSERT_EQ(ls.sensitive, mask_popcount(r.mask));
     ASSERT_EQ(ls.outputs, r.stats.outputs);
     ASSERT_EQ(ls.executor_macs, r.stats.executor_macs);
     ASSERT_EQ(exec.last_sensitive_per_channel(0), r.sensitive_per_channel);
@@ -163,6 +164,8 @@ TEST(SparseEpilogueGolden, ValidMacsPerRowMatchesBruteForce) {
   }
 }
 
+// At threshold 0 every mask bit is set (every tile's list is full); at a
+// huge threshold none is (every list is empty).
 TEST(SparseEpilogueGolden, ThresholdExtremesShapeTheLists) {
   ODQ_PROP_CASE(c, 999);
   const ConvGeom g = testprop::random_conv_geom(c.rng());
@@ -172,17 +175,58 @@ TEST(SparseEpilogueGolden, ThresholdExtremesShapeTheLists) {
   all.threshold = 0.0f;
   const core::OdqConvResult r_all =
       core::odq_conv(qc.input, qc.weight, g.stride, g.pad, all);
-  ASSERT_EQ(r_all.sensitive_lists.total(), r_all.stats.outputs);
-  for (const auto& l : r_all.sensitive_lists.lists) {
-    ASSERT_EQ(static_cast<std::int64_t>(l.size()), r_all.sensitive_lists.rows);
+  ASSERT_EQ(r_all.mask.numel(), r_all.stats.outputs);
+  for (std::int64_t j = 0; j < r_all.mask.numel(); ++j) {
+    ASSERT_EQ(r_all.mask[j], 1) << "output " << j;
   }
+  ASSERT_EQ(r_all.stats.sensitive, r_all.stats.outputs);
 
   core::OdqConfig none;
   none.threshold = 1e30f;
   const core::OdqConvResult r_none =
       core::odq_conv(qc.input, qc.weight, g.stride, g.pad, none);
-  ASSERT_EQ(r_none.sensitive_lists.total(), 0);
-  for (const auto& l : r_none.sensitive_lists.lists) ASSERT_TRUE(l.empty());
+  ASSERT_EQ(r_none.mask.numel(), r_none.stats.outputs);
+  for (std::int64_t j = 0; j < r_none.mask.numel(); ++j) {
+    ASSERT_EQ(r_none.mask[j], 0) << "output " << j;
+  }
+  ASSERT_EQ(r_none.stats.sensitive, 0);
+}
+
+// The epilogue owns every accumulator: with `acc` poisoned before the
+// call, a sensitive output must hold its full-code dot and an insensitive
+// one its predictor value, equal to the serial reference, at a partial
+// threshold and at both extremes.
+TEST(SparseEpilogue, WritesEveryAccumulator) {
+  constexpr std::int32_t kPoison = 0x5a5a5a5a;
+  for (int i = 0; i < 20; ++i) {
+    ODQ_PROP_CASE(c, i + 1200);
+    const ConvGeom g = testprop::random_conv_geom(c.rng());
+    const testprop::QuantConvCase qc = testprop::random_quant_conv(c.rng(), g);
+    const testwin::Window win(qc.input.q, g.k, g.k, g.stride, g.pad);
+    const FilterPanel wts = pack_filter_panel(qc.weight.q);
+    core::OdqConfig cfg;
+    const float scale = qc.input.scale * qc.weight.scale;
+    const tensor::TensorI32 pred =
+        gemm_conv_i8(win.view, wts, 2 * cfg.low_bits, cfg.low_bits);
+    for (const float threshold :
+         {0.0f, testprop::random_threshold(c.rng()), 1e30f}) {
+      cfg.threshold = threshold;
+      SCOPED_TRACE(g.str() + " thr=" + std::to_string(threshold));
+      const core::OdqConvResult ref =
+          core::odq_conv_reference(qc.input, qc.weight, g.stride, g.pad, cfg);
+      tensor::TensorI32 acc(pred.shape(), kPoison);
+      tensor::TensorU8 mask(pred.shape(), 0xA5);
+      std::vector<std::int64_t> per_channel(static_cast<std::size_t>(g.oc),
+                                            0);
+      const SparseEpilogueStats st = sparse_result_generation(
+          win.view, wts, pred, scale, threshold, acc, mask, per_channel);
+      ASSERT_EQ(acc.vec(), ref.acc.vec());
+      ASSERT_EQ(mask.vec(), ref.mask.vec());
+      ASSERT_EQ(per_channel, ref.sensitive_per_channel);
+      ASSERT_EQ(st.sensitive, ref.stats.sensitive);
+      ASSERT_EQ(st.executor_macs, ref.stats.executor_macs);
+    }
+  }
 }
 
 }  // namespace

@@ -16,12 +16,11 @@
 //     logical-vs-arithmetic shift mistake would corrupt,
 //   * the int32 depth budget — a -128 x -128 dot at the largest accepted
 //     depth is exact against int64, and one more lane block is rejected,
-//   * tile straddles — out-channel counts around kOcTile, odd and even row
-//     counts (the block kernel's row-pair tail) through the full
-//     gemm_conv_int tiling, and odd output maps and filter counts of 6 and
-//     10 through gemm_conv_i8 against the quant::conv2d_i8 direct conv,
-//   * zero-length and full-length compacted sensitive lists through
-//     sparse_result_generation.
+//   * tile straddles — out-channel counts around kBlockFilters, odd and
+//     even row counts (the block kernel's row-pair tail) through the full
+//     gemm_conv_i8 tiling, and odd output maps and filter counts of 6 and
+//     10 against the quant::conv2d_i8 direct conv,
+//   * empty and full sensitive masks through the whole ODQ pipeline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,7 +39,6 @@
 namespace odq::simd {
 namespace {
 
-using gemm::kOcTile;
 using gemm::pad_channels;
 using tensor::Shape;
 using tensor::TensorI32;
@@ -188,13 +186,6 @@ TEST_P(SimdKernels, DotMatchesOracleAcrossLaneBoundaryDepths) {
     const std::int64_t want = oracle_dot(a.data(), b.data(), sh);
     ASSERT_EQ(kk.dot_i8(a.data(), b.data(), sh.seg(), sh.nseg, sh.pitch()),
               static_cast<std::int32_t>(want));
-    // acc64 reads one contiguous run: the sum of its per-segment dots.
-    std::int64_t acc64 = 0;
-    for (std::int64_t s = 0; s < sh.nseg; ++s) {
-      acc64 += kk.dot_i8_acc64(a.data() + s * sh.pitch(),
-                               b.data() + s * sh.seg(), sh.seg());
-    }
-    ASSERT_EQ(acc64, want);
   };
   for (const SegShape& sh : lane_boundary_shapes()) {
     for (const auto& [aname, afill] : hostile_fills()) {
@@ -328,30 +319,16 @@ TEST_P(SimdKernels, DepthBudgetBoundaryIsExact) {
   TensorI32 acc(pred.shape());
   TensorU8 mask(pred.shape());
   std::vector<std::int64_t> per_channel(1, 0);
-  gemm::SensitiveLists lists;
   gemm::sparse_result_generation(win.view, wts, pred, 1.0f, 0.0f, acc, mask,
-                                 per_channel, lists);
+                                 per_channel);
   EXPECT_EQ(acc[0], static_cast<std::int32_t>(want));
 }
 
-// The acc64 kernel must stay exact where an int32 sum would wrap: a
-// constant-extreme dot long enough to overflow int32 (depth 2^18 of
-// 127 * 127 is ~4.2e9 > 2^31).
-TEST_P(SimdKernels, Acc64StaysExactPastInt32Headroom) {
-  const Kernels& kk = active_kernels();
-  const std::int64_t kp = std::int64_t{1} << 18;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(kp), 127);
-  std::vector<std::int8_t> b(static_cast<std::size_t>(kp), 127);
-  const std::int64_t want = kp * 127 * 127;
-  ASSERT_GT(want, std::int64_t{1} << 31);
-  EXPECT_EQ(kk.dot_i8_acc64(a.data(), b.data(), kp), want);
-}
-
-// The full tiled INT-GEMM across out-channel counts straddling kOcTile and
-// row counts around the block kernel's row pair and a 64-row block, over a
-// window of 2 segments per row (a 2 x 1 kernel, 24 channels padded to 32:
-// one full lane block and one half block per segment), against a naive
-// loop over the OIHW codes.
+// The full tiled INT-GEMM across out-channel counts straddling
+// kBlockFilters and row counts around the block kernel's row pair and a
+// 64-row block, over a window of 2 segments per row (a 2 x 1 kernel, 24
+// channels padded to 32: one full lane block and one half block per
+// segment), against a naive loop over the OIHW codes.
 TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
   util::Rng rng(23);
   const std::int64_t c = 24;
@@ -364,7 +341,7 @@ TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
   };
   for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{63},
                                   std::int64_t{64}, std::int64_t{65}}) {
-    for (std::int64_t oc = 1; oc <= 2 * kOcTile + 1; ++oc) {
+    for (std::int64_t oc = 1; oc <= 2 * kBlockFilters + 1; ++oc) {
       const TensorI8 x = random_codes(Shape{2, c, 2, rows});
       const TensorI8 w = random_codes(Shape{oc, c, 2, 1});
       const testwin::Window win(x, 2, 1, /*stride=*/1, /*pad=*/0);
@@ -374,10 +351,6 @@ TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
 
       const int shift = 4;
       const TensorI32 got = gemm::gemm_conv_i8(win.view, wts, shift);
-      std::vector<std::int64_t> got64(static_cast<std::size_t>(2 * oc * rows),
-                                      0);
-      gemm::gemm_conv_int<std::int64_t>(win.view, wts, shift, 0,
-                                        got64.data());
 
       SCOPED_TRACE("rows=" + std::to_string(rows) + " oc=" +
                    std::to_string(oc));
@@ -395,8 +368,6 @@ TEST_P(SimdKernels, GemmConvIntStraddlesTiles) {
             const std::int64_t want = dot << shift;
             const std::int64_t idx = (b * oc + f) * rows + r;
             ASSERT_EQ(got[idx], static_cast<std::int32_t>(want))
-                << "b=" << b << " f=" << f << " r=" << r;
-            ASSERT_EQ(got64[static_cast<std::size_t>(idx)], want)
                 << "b=" << b << " f=" << f << " r=" << r;
           }
         }
@@ -435,17 +406,11 @@ TEST_P(SimdKernels, GemmConvOddRowsAndFilterTailsMatchDirectConv) {
       const TensorI32 want = quant::conv2d_i8(xh, wh, 1, 1);
       const int shift = 2 * (ds % 3);
       const TensorI32 got = gemm::gemm_conv_i8(win.view, wts, shift, ds);
-      std::vector<std::int64_t> got64(static_cast<std::size_t>(want.numel()));
-      gemm::gemm_conv_int<std::int64_t>(win.view, wts, shift, ds,
-                                        got64.data());
       SCOPED_TRACE("oc=" + std::to_string(oc) + " digit_shift=" +
                    std::to_string(ds));
       ASSERT_EQ(got.shape(), want.shape());
       for (std::int64_t i = 0; i < want.numel(); ++i) {
         ASSERT_EQ(got[i], want[i] << shift) << "output " << i;
-        ASSERT_EQ(got64[static_cast<std::size_t>(i)],
-                  static_cast<std::int64_t>(want[i]) << shift)
-            << "output " << i;
       }
     }
   }
@@ -453,8 +418,8 @@ TEST_P(SimdKernels, GemmConvOddRowsAndFilterTailsMatchDirectConv) {
 
 // Whole-pipeline ODQ against the direct-conv serial reference (an oracle
 // that shares no code with the packed/SIMD path), at both threshold
-// extremes: zero-length compacted lists (nothing sensitive) and full-length
-// lists (everything sensitive), plus a mid threshold for partial lists.
+// extremes: nothing sensitive and everything sensitive, plus a mid
+// threshold for a partial mask.
 TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
   util::Rng rng(31);
   tensor::Tensor x(Shape{2, 3, 7, 7});
@@ -472,9 +437,9 @@ TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
     const core::OdqConvResult got = core::odq_conv(qin, qw, 1, 1, cfg);
     SCOPED_TRACE("threshold=" + std::to_string(threshold));
     if (threshold == 0.0f) {
-      ASSERT_EQ(got.stats.sensitive, got.stats.outputs);  // full lists
+      ASSERT_EQ(got.stats.sensitive, got.stats.outputs);
     } else if (threshold == 1e30f) {
-      ASSERT_EQ(got.sensitive_lists.total(), 0);  // zero-length lists
+      ASSERT_EQ(got.stats.sensitive, 0);
       ASSERT_EQ(got.stats.executor_macs, 0);
     }
     ASSERT_EQ(ref.acc.shape(), got.acc.shape());
@@ -483,7 +448,6 @@ TEST_P(SimdKernels, OdqPipelineListExtremesMatchDirectReference) {
       ASSERT_EQ(ref.predictor_acc[i], got.predictor_acc[i]);
       ASSERT_EQ(ref.mask[i], got.mask[i]);
     }
-    ASSERT_EQ(ref.sensitive_lists.lists, got.sensitive_lists.lists);
     ASSERT_EQ(ref.sensitive_per_channel, got.sensitive_per_channel);
     ASSERT_EQ(ref.stats.sensitive, got.stats.sensitive);
     ASSERT_EQ(ref.stats.predictor_macs, got.stats.predictor_macs);
@@ -535,9 +499,8 @@ TEST(SimdDispatch, DepthBudgetEnforced) {
   TensorI32 acc(pred.shape());
   TensorU8 mask(pred.shape());
   std::vector<std::int64_t> per_channel(1, 0);
-  gemm::SensitiveLists lists;
   EXPECT_THROW(gemm::sparse_result_generation(win.view, wts, pred, 1.0f, 0.0f,
-                                              acc, mask, per_channel, lists),
+                                              acc, mask, per_channel),
                std::invalid_argument);
   // Several segments count together: a 3 x 3 window whose taps fit alone
   // but whose 9 taps do not.
