@@ -71,17 +71,6 @@ void record_conv_metrics(const OdqLayerStats& s) {
   frac_bp.record(obs::fraction_bp(s.sensitive_fraction()));
 }
 
-// Dequantize integer accumulators and add the per-channel bias through the
-// shared conv epilogue helper (nn/epilogue.hpp) — the bias-only case there
-// is the exact fused expression this file used to hand-roll.
-Tensor dequantize_with_bias(const TensorI32& acc, float scale,
-                            const Tensor& bias) {
-  ODQ_TRACE_SPAN("odq.epilogue");
-  nn::ConvEpilogue e;
-  e.bias = bias;
-  return nn::dequantize_epilogue(acc, scale, e);
-}
-
 // Fidelity attribution for one finished ODQ conv (obs/fidelity.hpp): runs
 // the FP32 reference conv and dequantizes the predictor-only accumulators,
 // then records scheme/predictor/mask-side errors plus the |predictor|
@@ -93,7 +82,8 @@ void record_odq_fidelity(const Tensor& input, const Tensor& weight,
                          const OdqConvResult& r, const Tensor& out, int layer) {
   ODQ_TRACE_SPAN("odq.fidelity");
   const Tensor ref = tensor::conv2d_direct(input, weight, bias, stride, pad);
-  const Tensor pred_out = dequantize_with_bias(r.predictor_acc, r.scale, bias);
+  const Tensor pred_out =
+      nn::dequantize_with_bias(r.predictor_acc, r.scale, bias);
   std::vector<float> pred_mag(static_cast<std::size_t>(out.numel()));
   for (std::int64_t i = 0; i < out.numel(); ++i) {
     pred_mag[static_cast<std::size_t>(i)] =
@@ -124,9 +114,12 @@ FloatConv odq_conv_from_float(const Tensor& input, const Tensor& weight,
   FloatConv c{Tensor{}, odq_conv(q.input, q.weight, stride, pad, cfg)};
   c.r.stats.quantize_seconds = quantize_seconds;
 
-  util::WallTimer back;
-  c.out = dequantize_with_bias(c.r.acc, c.r.scale, bias);
-  c.r.stats.dequantize_seconds = back.seconds();
+  {
+    ODQ_TRACE_SPAN("odq.epilogue");
+    util::WallTimer back;
+    c.out = nn::dequantize_with_bias(c.r.acc, c.r.scale, bias);
+    c.r.stats.dequantize_seconds = back.seconds();
+  }
   if (obs::fidelity_enabled()) {
     record_odq_fidelity(input, weight, bias, stride, pad, cfg, c.r, c.out,
                         layer);

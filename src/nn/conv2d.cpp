@@ -83,13 +83,7 @@ Tensor Conv2d::forward_fp32(const Tensor& x, bool train) {
     std::copy(prod.data(), prod.data() + prod.numel(),
               out.data() + b * out_channels_ * oh * ow);
   }
-  if (has_bias_) {
-    // Shared conv epilogue (nn/epilogue.hpp): the bias-only case is the
-    // exact `p[i] += bias[oc]` loop this file used to duplicate.
-    ConvEpilogue e;
-    e.bias = bias_.value;
-    apply_conv_epilogue(out, e);
-  }
+  if (has_bias_) add_bias(out, bias_.value);
 
   if (train) {
     cached_input_ = x;

@@ -1,50 +1,23 @@
-// Shared conv epilogue: one helper for the per-channel affine + activation
-// work every conv path used to duplicate (bias add in Conv2d::forward_fp32,
-// bias-in-dequantize in the ODQ executor, folded batchnorm + ReLU in the
-// fused inference paths). All variants apply, per output channel ch:
-//
-//   y = bn_scale[ch] * x + bn_shift[ch] + bias[ch],   then y = max(y, 0)
-//
-// with absent terms dropping out exactly (empty bias -> + 0.0f, empty bn ->
-// identity), so routing an existing path through the helper is bit-identical
-// to the loop it replaces.
+// Conv output stage: the per-output-channel bias add every conv path ends
+// with. Conv2d::forward_fp32 adds the bias to its float output in place;
+// the ODQ executor dequantizes its int32 accumulators with the combined
+// input x weight scale and adds the bias in the same pass (paper §3,
+// step 5). An empty bias adds nothing.
 #pragma once
-
-#include <cstdint>
 
 #include "tensor/tensor.hpp"
 
 namespace odq::nn {
 
-struct ConvEpilogue {
-  tensor::Tensor bias;      // [OC] or empty
-  tensor::Tensor bn_scale;  // [OC] or empty (empty => identity)
-  tensor::Tensor bn_shift;  // [OC] or empty
-  bool relu = false;
+// out[b, ch, :, :] += bias[ch] for conv output [N, OC, OH, OW]. Tiled over
+// (batch, channel) planes on the global pool; throws if bias is neither
+// empty nor [OC].
+void add_bias(tensor::Tensor& out, const tensor::Tensor& bias);
 
-  bool has_bias() const { return !bias.empty(); }
-  bool has_bn() const { return !bn_scale.empty(); }
-
-  // Inference-mode batchnorm folded to a per-channel affine:
-  //   scale = gamma / sqrt(running_var + eps), shift = beta - scale * mean.
-  static ConvEpilogue from_batchnorm(const tensor::Tensor& gamma,
-                                     const tensor::Tensor& beta,
-                                     const tensor::Tensor& running_mean,
-                                     const tensor::Tensor& running_var,
-                                     float eps, bool relu);
-};
-
-// Apply the epilogue in place to conv output [N, OC, OH, OW]. A default
-// ConvEpilogue is the identity. Plain bias-only epilogues add bias[ch] with
-// the same `y += bv` the unfused loops used (bit-identical).
-void apply_conv_epilogue(tensor::Tensor& x, const ConvEpilogue& e);
-
-// Dequantize int32 accumulators through the epilogue into a float tensor:
-// y = float(acc) * scale, then the per-channel affine + activation. The
-// bias-only case reproduces the ODQ executor's fused
-// `float(acc) * scale + bias[ch]` expression exactly. Tiled over
-// (batch, channel) planes on the global pool.
-tensor::Tensor dequantize_epilogue(const tensor::TensorI32& acc, float scale,
-                                   const ConvEpilogue& e);
+// y = float(acc) * scale + bias[ch] for int32 accumulators [N, OC, OH, OW]
+// (+ 0.0f with an empty bias). Tiled over (batch, channel) planes on the
+// global pool; throws if bias is neither empty nor [OC].
+tensor::Tensor dequantize_with_bias(const tensor::TensorI32& acc, float scale,
+                                    const tensor::Tensor& bias);
 
 }  // namespace odq::nn

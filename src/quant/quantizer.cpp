@@ -61,7 +61,7 @@ inline std::int8_t clamp_code(float v, float lo, float hi) {
 }
 
 // dst[i] = clamp_code(src[i] / scale, lo, hi): the one code loop behind
-// every quantizer here (lo = 0 makes it the unsigned activation code, which
+// every integer quantizer here (lo = 0 makes it the unsigned activation code, which
 // is why negative inputs need no separate max with 0). On x86-64 it runs 16
 // codes per step in baseline SSE2 with the same operations lane-wise —
 // divps; maxps / minps in the operand order that matches std::max(lo, v) /
@@ -230,21 +230,6 @@ float activation_clip_from_percentile(const Tensor& x, float percentile) {
   return clip > 0.0f ? clip : -1.0f;
 }
 
-QTensor quantize_signed(const Tensor& x, int bits) {
-  if (bits < 2 || bits > 8) {
-    throw std::invalid_argument("quantize_signed: bits must be in [2,8]");
-  }
-  QTensor out;
-  out.bits = bits;
-  out.is_signed = true;
-  out.q = TensorI8(x.shape());
-  const auto qmax = static_cast<float>(out.qmax());
-  const float xmax = max_abs(x);
-  out.scale = (xmax > 0.0f ? xmax : 1.0f) / qmax;
-  quantize_codes(x.data(), out.q.data(), x.numel(), out.scale, -qmax, qmax);
-  return out;
-}
-
 Tensor fake_quantize_weights(const Tensor& w, int bits,
                              WeightTransform transform) {
   if (bits < 2 || bits > 16) {
@@ -311,82 +296,8 @@ Tensor fake_quantize_activations(const Tensor& x, int bits, float clip) {
   return out;
 }
 
-tensor::Tensor QTensorPerChannel::dequantize() const {
-  Tensor out(q.shape());
-  const std::int64_t oc = q.shape()[0];
-  const std::int64_t per = q.numel() / std::max<std::int64_t>(oc, 1);
-  for (std::int64_t c = 0; c < oc; ++c) {
-    const float s = scales[static_cast<std::size_t>(c)];
-    for (std::int64_t i = 0; i < per; ++i) {
-      out[c * per + i] = static_cast<float>(q[c * per + i]) * s;
-    }
-  }
-  return out;
-}
-
-QTensorPerChannel quantize_weights_per_channel(const Tensor& w, int bits,
-                                               WeightTransform transform) {
-  if (bits < 2 || bits > 8) {
-    throw std::invalid_argument(
-        "quantize_weights_per_channel: bits must be in [2,8]");
-  }
-  if (w.shape().rank() < 2) {
-    throw std::invalid_argument(
-        "quantize_weights_per_channel: need an OIHW/OI tensor");
-  }
-  QTensorPerChannel out;
-  out.bits = bits;
-  out.q = TensorI8(w.shape());
-  const std::int64_t oc = w.shape()[0];
-  const std::int64_t per = w.numel() / oc;
-  out.scales.resize(static_cast<std::size_t>(oc));
-  const auto qmax = static_cast<float>((1 << (bits - 1)) - 1);
-
-  // DoReFa's tanh normalization is a per-tensor transform; apply it first,
-  // then scale each filter independently.
-  Tensor t = w;
-  if (transform == WeightTransform::kDoReFa) {
-    float tmax = 0.0f;
-    for (std::int64_t i = 0; i < w.numel(); ++i) {
-      t[i] = std::tanh(w[i]);
-      tmax = std::max(tmax, std::abs(t[i]));
-    }
-    if (tmax > 0.0f) {
-      for (std::int64_t i = 0; i < w.numel(); ++i) t[i] /= tmax;
-    }
-  }
-  for (std::int64_t c = 0; c < oc; ++c) {
-    float cmax = 0.0f;
-    for (std::int64_t i = 0; i < per; ++i) {
-      cmax = std::max(cmax, std::abs(t[c * per + i]));
-    }
-    const float scale = (cmax > 0.0f ? cmax : 1.0f) / qmax;
-    out.scales[static_cast<std::size_t>(c)] = scale;
-    quantize_codes(t.data() + c * per, out.q.data() + c * per, per, scale,
-                   -qmax, qmax);
-  }
-  return out;
-}
-
-Tensor fake_quantize_weights_per_channel(const Tensor& w, int bits,
-                                         WeightTransform transform) {
-  return quantize_weights_per_channel(w, bits, transform).dequantize();
-}
-
 TensorI32 conv2d_i8(const TensorI8& input, const TensorI8& weight,
                     std::int64_t stride, std::int64_t pad) {
-  const Shape& is = input.shape();
-  const Shape& ws = weight.shape();
-  const std::int64_t oh = tensor::conv_out_dim(is[2], ws[2], stride, pad);
-  const std::int64_t ow = tensor::conv_out_dim(is[3], ws[3], stride, pad);
-  TensorI32 out(Shape{is[0], ws[0], oh, ow});
-  conv2d_i8_accum(input, weight, stride, pad, /*shift=*/0, out);
-  return out;
-}
-
-void conv2d_i8_accum(const TensorI8& input, const TensorI8& weight,
-                     std::int64_t stride, std::int64_t pad, int shift,
-                     TensorI32& out) {
   const Shape& is = input.shape();
   const Shape& ws = weight.shape();
   if (is.rank() != 4 || ws.rank() != 4) {
@@ -399,12 +310,10 @@ void conv2d_i8_accum(const TensorI8& input, const TensorI8& weight,
   const std::int64_t o = ws[0], kh = ws[2], kw = ws[3];
   const std::int64_t oh = tensor::conv_out_dim(h, kh, stride, pad);
   const std::int64_t ow = tensor::conv_out_dim(w, kw, stride, pad);
-  if (out.shape() != Shape{n, o, oh, ow}) {
-    throw std::invalid_argument("conv2d_i8_accum: bad output shape");
-  }
+  TensorI32 out(Shape{n, o, oh, ow});
 
-  // Tiled over (batch, out-channel) planes; each tile accumulates into its
-  // own output plane, so the integer result is thread-count independent.
+  // Tiled over (batch, out-channel) planes; each tile writes its own output
+  // plane, so the integer result is thread-count independent.
   util::parallel_for(
       n * o,
       [&](std::int64_t t0, std::int64_t t1) {
@@ -430,12 +339,13 @@ void conv2d_i8_accum(const TensorI8& input, const TensorI8& weight,
                   }
                 }
               }
-              out.at4(b, oc, oy, ox) += acc << shift;
+              out.at4(b, oc, oy, ox) = acc;
             }
           }
         }
       },
       /*grain=*/1);
+  return out;
 }
 
 TensorI8 im2col_i8(const TensorI8& input, std::int64_t kh, std::int64_t kw,

@@ -54,10 +54,6 @@ ActivationRange activation_range(const tensor::Tensor& x);
 QTensor quantize_activations(const tensor::Tensor& x, int bits,
                              float clip = -1.0f);
 
-// Quantize a tensor with signed symmetric levels (used when a conv input can
-// be negative, e.g. the raw image at the first layer).
-QTensor quantize_signed(const tensor::Tensor& x, int bits);
-
 // Clip value for activation quantization: the `percentile` quantile of the
 // ReLU'd activations, estimated from a strided subsample of ~4096 points
 // that always includes the final element (a tail maximum must not be
@@ -66,27 +62,6 @@ QTensor quantize_signed(const tensor::Tensor& x, int bits);
 // activations, as in an all-negative pre-ReLU map.
 float activation_clip_from_percentile(const tensor::Tensor& x,
                                       float percentile);
-
-// Per-output-channel weight quantization: one scale per filter (dim 0 of an
-// OIHW tensor). Strictly tighter than the per-tensor scale whenever filter
-// magnitudes differ, at the cost of a per-channel multiplier at
-// dequantization — standard practice for low-bit deployment.
-struct QTensorPerChannel {
-  tensor::TensorI8 q;          // codes, same shape as the weights
-  std::vector<float> scales;   // one per output channel
-  int bits = 8;
-
-  tensor::Tensor dequantize() const;
-};
-
-QTensorPerChannel quantize_weights_per_channel(
-    const tensor::Tensor& w, int bits,
-    WeightTransform transform = WeightTransform::kLinear);
-
-// Fake quantization through per-channel scales.
-tensor::Tensor fake_quantize_weights_per_channel(
-    const tensor::Tensor& w, int bits,
-    WeightTransform transform = WeightTransform::kLinear);
 
 // Round a float tensor through a b-bit quantizer and back (fake
 // quantization). Supports 2..16 bits (codes are held in float, so they are
@@ -98,16 +73,11 @@ tensor::Tensor fake_quantize_activations(const tensor::Tensor& x, int bits,
                                          float clip = -1.0f);
 
 // Integer convolution: input codes [N,C,H,W] (* signedness irrelevant; codes
-// are int8), weight codes [O,C,KH,KW], int32 accumulators out.
+// are int8), weight codes [O,C,KH,KW], int32 accumulators out. A direct
+// loop sharing no kernel with the packed GEMM, so it serves as the oracle.
 tensor::TensorI32 conv2d_i8(const tensor::TensorI8& input,
                             const tensor::TensorI8& weight,
                             std::int64_t stride, std::int64_t pad);
-
-// As conv2d_i8 but accumulates into `out` (which must be pre-shaped),
-// optionally left-shifting each product sum by `shift` bits.
-void conv2d_i8_accum(const tensor::TensorI8& input,
-                     const tensor::TensorI8& weight, std::int64_t stride,
-                     std::int64_t pad, int shift, tensor::TensorI32& out);
 
 // im2col over int8 codes (zero padding). Output shape [N, C*KH*KW, OH*OW].
 tensor::TensorI8 im2col_i8(const tensor::TensorI8& input, std::int64_t kh,

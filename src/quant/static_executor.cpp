@@ -25,9 +25,7 @@ tensor::Tensor StaticQuantConvExecutor::run(const tensor::Tensor& input,
   // bit-identical to the conv2d_direct oracle (tests/gemm pins this).
   tensor::Tensor qin = fake_quantize_activations(input, bits_);
   tensor::Tensor qw =
-      per_channel_
-          ? fake_quantize_weights_per_channel(weight, bits_, transform_)
-          : fake_quantize_weights(weight, bits_, transform_);
+      fake_quantize_weights(weight, bits_, WeightTransform::kLinear);
   tensor::Tensor out = gemm::conv2d_f32(qin, qw, bias, stride, pad);
   if (obs::fidelity_enabled()) {
     const tensor::Tensor ref =

@@ -10,14 +10,10 @@ namespace odq::quant {
 
 class StaticQuantConvExecutor : public nn::ConvExecutor {
  public:
-  // The DoReFa tanh transform is a *training-time* normalization; applying
-  // it post-hoc to FP32-trained weights distorts them, so post-training
-  // executors default to linear quantization. `per_channel` quantizes
-  // weights with one scale per output channel.
-  explicit StaticQuantConvExecutor(
-      int bits, WeightTransform transform = WeightTransform::kLinear,
-      bool per_channel = false)
-      : bits_(bits), transform_(transform), per_channel_(per_channel) {}
+  // Weights are quantized linearly: the DoReFa tanh transform is a
+  // *training-time* normalization, and applying it post hoc to
+  // FP32-trained weights distorts them.
+  explicit StaticQuantConvExecutor(int bits) : bits_(bits) {}
 
   tensor::Tensor run(const tensor::Tensor& input, const tensor::Tensor& weight,
                      const tensor::Tensor& bias, std::int64_t stride,
@@ -31,8 +27,6 @@ class StaticQuantConvExecutor : public nn::ConvExecutor {
 
  private:
   int bits_;
-  WeightTransform transform_;
-  bool per_channel_;
 };
 
 }  // namespace odq::quant

@@ -48,7 +48,9 @@ TEST_P(PrecisionSweep, SensitiveOutputsBitExactAtEverySplit) {
   OdqConvResult r = odq_conv(ql.in, ql.w, 1, 1, cfg);
   TensorI32 full = quant::conv2d_i8(ql.in.q, ql.w.q, 1, 1);
   for (std::int64_t i = 0; i < full.numel(); ++i) {
-    if (r.mask[i] != 0) ASSERT_EQ(r.acc[i], full[i]);
+    if (r.mask[i] != 0) {
+      ASSERT_EQ(r.acc[i], full[i]);
+    }
   }
 }
 

@@ -1,15 +1,12 @@
-// Fused-vs-unfused regression for the shared conv epilogue
-// (nn/epilogue.hpp): the helper must reproduce the exact loops it replaced
-// (bias add, bias-in-dequantize) and match the unfused layer sequence
-// (conv -> BatchNorm2d eval forward -> ReLU) it folds.
+// Conv output stage (nn/epilogue.hpp): add_bias and dequantize_with_bias
+// must reproduce, bit for bit, the unfused loops they replaced in
+// Conv2d::forward_fp32 and the ODQ executor.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "common/proptest.hpp"
-#include "nn/batchnorm.hpp"
 #include "nn/epilogue.hpp"
 #include "tensor/ops.hpp"
 
@@ -21,18 +18,17 @@ using tensor::Tensor;
 using tensor::TensorI32;
 using testprop::ConvGeom;
 
-TEST(ConvEpilogue, IdentityIsNoOp) {
+TEST(ConvBias, IdentityIsNoOp) {
   ODQ_PROP_CASE(c, 0);
   Tensor x = testprop::random_activations(c.rng(), Shape{2, 3, 4, 4});
   const Tensor before = x;
-  ConvEpilogue e;
-  apply_conv_epilogue(x, e);
+  add_bias(x, Tensor{});
   for (std::int64_t i = 0; i < x.numel(); ++i) ASSERT_EQ(x[i], before[i]);
 }
 
-// Bias-only fused epilogue == the verbatim `p[i] += bias[oc]` loop
+// add_bias == the verbatim `p[i] += bias[oc]` loop
 // Conv2d::forward_fp32 used to carry.
-TEST(ConvEpilogue, BiasOnlyMatchesUnfusedLoopBitwise) {
+TEST(ConvBias, BiasOnlyMatchesUnfusedLoopBitwise) {
   for (int i = 0; i < 15; ++i) {
     ODQ_PROP_CASE(c, i + 10);
     const ConvGeom g = testprop::random_conv_geom(c.rng());
@@ -49,18 +45,16 @@ TEST(ConvEpilogue, BiasOnlyMatchesUnfusedLoopBitwise) {
       }
     }
 
-    ConvEpilogue e;
-    e.bias = bias;
-    apply_conv_epilogue(x, e);
+    add_bias(x, bias);
     for (std::int64_t j = 0; j < x.numel(); ++j) {
-      ASSERT_EQ(x[j], unfused[j]) << "bias epilogue diverges at " << j;
+      ASSERT_EQ(x[j], unfused[j]) << "add_bias diverges at " << j;
     }
   }
 }
 
-// Bias-only dequantize == the ODQ executor's historical fused expression
+// dequantize_with_bias == the ODQ executor's historical fused expression
 // `float(acc) * scale + bias[oc]`, bit for bit.
-TEST(ConvEpilogue, DequantizeBiasMatchesLegacyExpressionBitwise) {
+TEST(ConvBias, DequantizeBiasMatchesLegacyExpressionBitwise) {
   for (int i = 0; i < 15; ++i) {
     ODQ_PROP_CASE(c, i + 40);
     const ConvGeom g = testprop::random_conv_geom(c.rng());
@@ -82,95 +76,19 @@ TEST(ConvEpilogue, DequantizeBiasMatchesLegacyExpressionBitwise) {
       }
     }
 
-    ConvEpilogue e;
-    e.bias = bias;
-    const Tensor fused = dequantize_epilogue(acc, scale, e);
+    const Tensor fused = dequantize_with_bias(acc, scale, bias);
     for (std::int64_t j = 0; j < fused.numel(); ++j) {
       ASSERT_EQ(fused[j], legacy[j]) << "dequantize diverges at " << j;
     }
   }
 }
 
-// Folded batchnorm (+ ReLU) epilogue vs the unfused layer sequence:
-// BatchNorm2d eval-mode forward then elementwise max(y, 0). The fold is an
-// algebraic rewrite (scale/shift precomputed per channel), so this is a
-// tolerance check, not a bitwise one.
-TEST(ConvEpilogue, FoldedBatchnormReluMatchesUnfusedLayers) {
-  for (int i = 0; i < 15; ++i) {
-    ODQ_PROP_CASE(c, i + 70);
-    const ConvGeom g = testprop::random_conv_geom(c.rng());
-    Tensor x = testprop::random_weights(c.rng(),
-                                        Shape{g.n, g.oc, g.h, g.w});
-
-    BatchNorm2d bn(g.oc, /*momentum=*/0.1f, /*eps=*/1e-5f);
-    for (std::int64_t ch = 0; ch < g.oc; ++ch) {
-      bn.gamma().value[ch] = c.rng().uniform_f(0.5f, 1.5f);
-      bn.beta().value[ch] = c.rng().normal_f(0, 0.2f);
-      bn.running_mean()[ch] = c.rng().normal_f(0, 0.3f);
-      bn.running_var()[ch] = c.rng().uniform_f(0.25f, 2.0f);
-    }
-
-    Tensor unfused = bn.forward(x, /*train=*/false);
-    for (std::int64_t j = 0; j < unfused.numel(); ++j) {
-      unfused[j] = std::max(unfused[j], 0.0f);
-    }
-
-    const ConvEpilogue e = ConvEpilogue::from_batchnorm(
-        bn.gamma().value, bn.beta().value, bn.running_mean(),
-        bn.running_var(), 1e-5f, /*relu=*/true);
-    Tensor fused = x;
-    apply_conv_epilogue(fused, e);
-
-    for (std::int64_t j = 0; j < fused.numel(); ++j) {
-      ASSERT_NEAR(fused[j], unfused[j], 1e-5f)
-          << "folded batchnorm diverges at " << j;
-    }
-  }
-}
-
-// Bias + batchnorm + ReLU compose in the documented order:
-// y = relu(bn_scale * x + bn_shift + bias).
-TEST(ConvEpilogue, BiasComposesWithBatchnormAndRelu) {
-  ODQ_PROP_CASE(c, 500);
-  const std::int64_t n = 2, oc = 3, hw = 5;
-  Tensor x = testprop::random_weights(c.rng(), Shape{n, oc, hw, hw});
-  const Tensor bias = testprop::random_weights(c.rng(), Shape{oc});
-  Tensor sc(Shape{oc}), sh(Shape{oc});
-  for (std::int64_t ch = 0; ch < oc; ++ch) {
-    sc[ch] = c.rng().uniform_f(0.5f, 1.5f);
-    sh[ch] = c.rng().normal_f(0, 0.2f);
-  }
-
-  ConvEpilogue e;
-  e.bias = bias;
-  e.bn_scale = sc;
-  e.bn_shift = sh;
-  e.relu = true;
-  Tensor fused = x;
-  apply_conv_epilogue(fused, e);
-
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < oc; ++ch) {
-      for (std::int64_t j = 0; j < hw * hw; ++j) {
-        const std::int64_t idx = (b * oc + ch) * hw * hw + j;
-        const float expect =
-            std::max(sc[ch] * x[idx] + (sh[ch] + bias[ch]), 0.0f);
-        ASSERT_NEAR(fused[idx], expect, 1e-6f) << "at " << idx;
-      }
-    }
-  }
-}
-
-TEST(ConvEpilogue, RejectsChannelMismatch) {
+TEST(ConvBias, RejectsChannelMismatch) {
   Tensor x(Shape{1, 3, 2, 2});
-  ConvEpilogue e;
-  e.bias = Tensor(Shape{4});
-  EXPECT_THROW(apply_conv_epilogue(x, e), std::invalid_argument);
-  EXPECT_THROW(
-      ConvEpilogue::from_batchnorm(Tensor(Shape{3}), Tensor(Shape{3}),
-                                   Tensor(Shape{2}), Tensor(Shape{3}), 1e-5f,
-                                   false),
-      std::invalid_argument);
+  const Tensor bias(Shape{4});
+  EXPECT_THROW(add_bias(x, bias), std::invalid_argument);
+  EXPECT_THROW(dequantize_with_bias(TensorI32(Shape{1, 3, 2, 2}), 1.0f, bias),
+               std::invalid_argument);
 }
 
 }  // namespace

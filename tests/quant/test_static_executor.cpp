@@ -42,11 +42,40 @@ TEST(StaticExecutor, ErrorShrinksWithBits) {
 
   float prev = 1e9f;
   for (int bits : {2, 4, 8, 16}) {
-    StaticQuantConvExecutor ex(bits, WeightTransform::kLinear);
+    StaticQuantConvExecutor ex(bits);
     Tensor out = ex.run(in, w, bias, 1, 1, 0);
     const float err = tensor::mean_abs_diff(ref, out);
     EXPECT_LT(err, prev) << "bits=" << bits;
     prev = err;
+  }
+}
+
+// The executor is exactly a direct conv over per-tensor fake-quantized
+// operands: activations at `bits` unsigned levels, weights at `bits`
+// linear signed levels. ODQ falls back to this path on degenerate inputs.
+TEST(StaticExecutor, MatchesFakeQuantizedDirectConvBitwise) {
+  Tensor in = random_image(Shape{2, 5, 9, 9}, 11);
+  util::Rng rng(12);
+  Tensor w(Shape{7, 5, 3, 3});
+  for (std::int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal_f(0, 0.2f);
+  Tensor bias(Shape{7});
+  for (std::int64_t i = 0; i < bias.numel(); ++i) {
+    bias[i] = rng.normal_f(0, 0.1f);
+  }
+
+  for (int bits : {4, 8, 16}) {
+    for (const Tensor& b : {Tensor{}, bias}) {
+      StaticQuantConvExecutor ex(bits);
+      const Tensor out = ex.run(in, w, b, /*stride=*/2, /*pad=*/1, 0);
+      const Tensor ref = tensor::conv2d_direct(
+          fake_quantize_activations(in, bits),
+          fake_quantize_weights(w, bits, WeightTransform::kLinear), b, 2, 1);
+      ASSERT_EQ(out.shape(), ref.shape());
+      for (std::int64_t i = 0; i < out.numel(); ++i) {
+        ASSERT_EQ(out[i], ref[i])
+            << "bits=" << bits << " bias=" << !b.empty() << " at " << i;
+      }
+    }
   }
 }
 
